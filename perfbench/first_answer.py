@@ -31,7 +31,7 @@ FIRST_QUERIES = {
 def main(workload: str) -> int:
     kernel_active = satkernel.load() is not None
     query = FIRST_QUERIES[workload]
-    answer, _, _ = LibraryWorkload.execute(query, query.program(), 0)
+    answer = LibraryWorkload.execute(query, query.program(), 0)[0]
     print(json.dumps({"kernel_active": kernel_active, "correct": answer == query.expected}))
     return 0
 

@@ -1,11 +1,15 @@
-"""Small measurement helpers: percentiles, the tail rule, memory, outcomes."""
+"""Small measurement helpers: percentiles, the tail rule, memory, the host
+speed probe, outcomes."""
 
 from __future__ import annotations
 
 import os
 import resource
+import signal
+import statistics
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 #: Percentiles the tail metric may use, highest last.
 TAIL_LADDER = (50.0, 75.0, 80.0, 90.0, 95.0, 99.0, 99.5, 99.9)
@@ -73,19 +77,105 @@ def child_pids(pid: int) -> List[int]:
     return children
 
 
+#: The reference speed: the host speed at which :func:`_reference_loop`
+#: takes this long.  Priced times are what the work would take there.
+REFERENCE_NS = 20_000
+
+
+def _reference_loop() -> int:
+    """A fixed piece of interpreter work, 18–31 µs on a 2-core VM."""
+    total = 0
+    for i in range(300):
+        total += i * 3 % 7
+    return total
+
+
+def reference_speed_ns(seconds: float = 0.1) -> float:
+    """Median time of :func:`_reference_loop` over ``seconds`` of repeats."""
+    samples = []
+    deadline = time.perf_counter() + seconds
+    while time.perf_counter() < deadline:
+        began = time.perf_counter_ns()
+        _reference_loop()
+        samples.append(time.perf_counter_ns() - began)
+    return statistics.median(samples)
+
+
+def priced_s(elapsed_s: float, before_ns: float, after_ns: float) -> float:
+    """``elapsed_s`` at the reference speed, given the host speed (from
+    :func:`reference_speed_ns`) just before and just after the work.  For
+    work in other processes, where :class:`SpeedProbe` cannot sample."""
+    return elapsed_s * REFERENCE_NS / ((before_ns + after_ns) / 2)
+
+
+class SpeedProbe:
+    """Samples the speed of the core the measuring thread runs on.
+
+    The 2-core host this benchmark was built on runs the same code up to
+    1.5x slower from one pass to the next, and 36% slower over one
+    twenty-minute window than the next.  Thread CPU time slows by the same
+    factor (it is not time stolen by the scheduler), so neither CPU time nor
+    longer runs remove it.  While the probe runs, an interval timer
+    interrupts the measuring thread every :data:`INTERVAL_S` and times
+    :func:`_reference_loop` there.  A request's latency is then priced at
+    the reference speed: ``elapsed × REFERENCE_NS ÷ median sample taken
+    during the request``.  The samples' own time is taken out of the
+    request they interrupted.
+    """
+
+    INTERVAL_S = 0.002
+
+    def __init__(self) -> None:
+        self.samples: List[int] = []
+        self._previous = None
+
+    def _sample(self, signum, frame) -> None:
+        began = time.perf_counter_ns()
+        _reference_loop()
+        self.samples.append(time.perf_counter_ns() - began)
+
+    def __enter__(self) -> "SpeedProbe":
+        self._previous = signal.signal(signal.SIGALRM, self._sample)
+        signal.setitimer(signal.ITIMER_REAL, self.INTERVAL_S, self.INTERVAL_S)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self._previous)
+
+    def mark(self) -> int:
+        return len(self.samples)
+
+    def priced_ms(self, elapsed_ms: float, first: int, last: int) -> float:
+        """``elapsed_ms`` of a request that ran between marks ``first`` and
+        ``last``, at the reference speed.  A request shorter than the
+        interval is priced by the samples just before and after it."""
+        inside = self.samples[first:last]
+        nearby = self.samples[max(first - 1, 0) : last + 1] or self.samples
+        own_ms = elapsed_ms - sum(inside) / 1e6
+        return own_ms * REFERENCE_NS / statistics.median(inside or nearby)
+
+
 @dataclass
 class Outcome:
     """What the passes of one run produced.
 
-    A run repeats one fixed list of requests (a *pass*); ``best_ms[i]`` is
-    request ``i``'s fastest latency over the passes.  The host's CPU speed
-    drifts by tens of percent over seconds, and only adds time, so the
-    fastest repetition is the steady estimate of what a request costs.
+    A run repeats one fixed list of requests (a *pass*); ``latencies[i]``
+    holds request ``i``'s latency in every pass, and :meth:`request_ms`
+    reduces them to one figure per request with ``reduce``:
+
+    * ``statistics.median`` for times a :class:`SpeedProbe` has priced at
+      the reference speed (every ``--trace 0`` run).  Most of the host's
+      drift is gone from those, and the median ignores what is left.
+    * ``min`` for raw wall times (the traced run and the untraced runs it
+      is compared with).  Host slowdowns only add time, so the fastest
+      repetition is the steadier raw estimate.
     """
 
-    best_ms: List[float]
+    latencies: List[List[float]]
     #: Per request: did it miss every warm state (service: the pool)?
     cold: List[bool]
+    reduce: Callable[[List[float]], float] = min
     passes: int = 0
     wall_s: float = 0.0
     attempted: int = 0
@@ -93,17 +183,23 @@ class Outcome:
     #: Wrong answers and failed requests, one line each.
     wrong: List[str] = field(default_factory=list)
     models: int = 0
+    #: ``kernel_faults`` summed over the answers' solver statistics: each
+    #: is a fall-back from the native SAT kernel to pure-Python propagation.
+    kernel_faults: int = 0
     #: Counts that must repeat exactly: name -> tuple of counts.
     counts: Dict[str, Tuple] = field(default_factory=dict)
     drift: List[str] = field(default_factory=list)
 
     @classmethod
-    def for_requests(cls, cold: List[bool]) -> "Outcome":
-        return cls(best_ms=[float("inf")] * len(cold), cold=list(cold))
+    def for_requests(cls, cold: List[bool], reduce=min) -> "Outcome":
+        return cls(latencies=[[] for _ in cold], cold=list(cold), reduce=reduce)
 
     def observe(self, slot: int, elapsed_ms: float) -> None:
-        if elapsed_ms < self.best_ms[slot]:
-            self.best_ms[slot] = elapsed_ms
+        self.latencies[slot].append(elapsed_ms)
+
+    def request_ms(self) -> List[float]:
+        """One latency per request; ``inf`` for a request never answered."""
+        return [self.reduce(values) if values else float("inf") for values in self.latencies]
 
     def record_counts(self, name: str, counts: Tuple) -> None:
         seen = self.counts.setdefault(name, counts)
@@ -120,15 +216,16 @@ def end_to_end(
 ) -> Tuple[Dict[str, Tuple[float, str]], List[str]]:
     """The gated end-to-end metrics of a run, and lines for the ungated ones.
 
-    Every figure comes from the per-request fastest latencies: throughput
-    is requests per second of one pass at those latencies (closed loop, so
-    the pass time is their sum), and models per second is the models one
-    pass yields over the same time.  The tail latency and the cold-request
-    median are printed but not gated: over ten seeds their spread on this
-    benchmark's 2-core host (up to 0.20) sits too close to the largest
-    bound a metric may have.
+    Every figure comes from the per-request latencies of
+    :meth:`Outcome.request_ms`: throughput is requests per second of one
+    pass at those latencies (closed loop, so the pass time is their sum).
+    The tail latency and models per second are printed but not gated;
+    ``perfbench/README.md`` says why.  Library queries are all cold, so
+    there the cold-request median is the median.
     """
-    answered = [(ms, cold) for ms, cold in zip(outcome.best_ms, outcome.cold) if ms != float("inf")]
+    answered = [
+        (ms, cold) for ms, cold in zip(outcome.request_ms(), outcome.cold) if ms != float("inf")
+    ]
     done = [ms for ms, _ in answered]
     cold = [ms for ms, is_cold in answered if is_cold]
     pass_s = sum(done) / 1000.0
@@ -136,14 +233,15 @@ def end_to_end(
     metrics = {
         "throughput_qps": (len(done) / pass_s, "1/s"),
         "latency_p50_ms": (percentile(done, 50.0), "ms"),
-        "models_per_s": (outcome.models / outcome.passes / pass_s, "1/s"),
+        "cold_latency_p50_ms": (percentile(cold, 50.0), "ms"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
         "setup_s": (setup_s, "s"),
     }
     ungated = [
         f"latency_tail_ms = {percentile(done, tail_pct):.6g} ms "
         f"(p{tail_pct:g} of {len(done)} requests, ungated)",
-        f"cold_latency_p50_ms = {percentile(cold, 50.0):.6g} ms "
-        f"(median of {len(cold)} cold requests, ungated)",
+        f"cold requests: {len(cold)} of {len(done)}",
+        f"models_per_s = {outcome.models / outcome.passes / pass_s:.6g} 1/s "
+        "(witnesses or matchings per second of one pass, ungated)",
     ]
     return metrics, ungated

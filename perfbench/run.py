@@ -67,11 +67,15 @@ def _git_commit() -> str:
 
 
 def _library_setup(workload: str, reps: int, remove_kernel_build) -> float:
-    """Median wall time of fresh processes that import, build, answer once."""
+    """Median time of fresh processes that import, build, answer once, at
+    the reference host speed (``measure.priced_s``)."""
+    from measure import priced_s, reference_speed_ns
+
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + HERE)
     samples = []
     for _ in range(reps):
         remove_kernel_build(SRC)
+        before = reference_speed_ns()
         start = time.perf_counter()
         completed = subprocess.run(
             [sys.executable, os.path.join(HERE, "first_answer.py"), workload],
@@ -80,7 +84,7 @@ def _library_setup(workload: str, reps: int, remove_kernel_build) -> float:
             text=True,
             timeout=170,
         )
-        samples.append(time.perf_counter() - start)
+        samples.append(priced_s(time.perf_counter() - start, before, reference_speed_ns()))
         if completed.returncode != 0:
             raise RuntimeError(f"set-up process failed: {completed.stderr[-500:]}")
         report = json.loads(completed.stdout.strip().splitlines()[-1])
@@ -158,12 +162,18 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "trace": args.trace,
         "kernel_active": satkernel.load() is not None,
+        "kernel_faults": report.kernel_faults,
         "git_commit": _git_commit(),
         "source_digest": _source_digest(),
         "python": sys.version.split()[0],
         "nproc": os.cpu_count(),
     }
     print("environment " + json.dumps(environment, sort_keys=True))
+    if report.kernel_faults:
+        print(
+            f"KERNEL FALLBACK: {report.kernel_faults} native-kernel faults; "
+            "propagation fell back to pure Python"
+        )
     for line in report.notes:
         print(line)
     for wrong in report.wrong:

@@ -12,7 +12,15 @@ from typing import Dict, List, Optional, Tuple
 
 from corpora import analytic_verdict, load_expected
 from daemon import Daemon
-from measure import Outcome, end_to_end, percentile, self_peak_rss_mb
+from measure import (
+    Outcome,
+    SpeedProbe,
+    end_to_end,
+    percentile,
+    priced_s,
+    reference_speed_ns,
+    self_peak_rss_mb,
+)
 from tracer import LAYERS, Tracer
 from workloads import (
     LIBRARY_WORKLOADS,
@@ -23,8 +31,9 @@ from workloads import (
     question_name,
 )
 
-#: Set-ups timed per run (the median is reported).
-SETUP_REPS = 3
+#: Set-ups timed per library run (the median is reported); a service run
+#: times one per pass and makes at least this many passes.
+SETUP_REPS = 5
 
 #: The per-layer metrics, in BENCHMARK.json order, with their units.  Times
 #: are mean self time per query; ``.share`` is self time / request wall.
@@ -112,6 +121,7 @@ class Report:
     notes: List[str] = field(default_factory=list)
     #: Counts that must repeat exactly for this seed, compared across runs.
     counts: Dict[str, object] = field(default_factory=dict)
+    kernel_faults: int = 0
 
 
 def remove_kernel_build(src: str) -> None:
@@ -126,6 +136,7 @@ def _score(report: Report, *outcomes: Outcome) -> None:
         report.errors += outcome.errors
         report.wrong.extend(outcome.wrong)
         report.drift.extend(outcome.drift)
+        report.kernel_faults += outcome.kernel_faults
 
 
 def _compare_counts(report: Report, label: str, first: Dict, second: Dict) -> None:
@@ -230,16 +241,18 @@ def run_library(name, seed, seconds, trace, setup, scratch) -> Report:
         report.counts = {key: list(value) for key, value in outcome.counts.items()}
         report.notes.append(
             f"{outcome.passes} passes of {len(plan)} queries; latencies are each "
-            "query's fastest"
+            "query's median, priced at the reference host speed"
         )
         report.notes.extend(ungated)
         return report
 
-    untraced = workload.measure(plan, seconds / 2, min_passes=1)
+    untraced = workload.measure(plan, seconds / 2, min_passes=1, priced=False)
     tracer = Tracer()
     tracer.install()
     try:
-        traced = workload.measure(plan, 0.0, tracer.request, min_passes=untraced.passes)
+        traced = workload.measure(
+            plan, 0.0, tracer.request, min_passes=untraced.passes, priced=False
+        )
     finally:
         tracer.uninstall()
     tracer.write_spans(os.path.join(os.path.dirname(scratch), f"spans-{name}.jsonl"))
@@ -281,39 +294,46 @@ def _tcp_pass(src: str, scratch: str, requests, outcome: Outcome):
 
     The start is timed up to the answer to :data:`SETUP_QUESTION` and
     rebuilds the native kernel (its cached build is removed first); the
-    daemon gets a fresh cache directory.  Each reply is checked and its
-    latency folded into ``outcome``.  Returns (set-up seconds, the daemon's
-    ``stats`` counts after the pass, peak memory of daemon + worker, per
-    request latencies).
+    daemon gets a fresh cache directory.  Both the set-up and every request
+    are priced at the reference host speed (``measure.priced_s``, and a
+    :class:`SpeedProbe` in this process while it waits for each reply).
+    Each reply is checked and its priced latency folded into ``outcome``.
+    Returns (set-up seconds, the daemon's ``stats`` counts after the pass,
+    peak memory of daemon + worker, raw per-request latencies).
     """
     from repro.service import ServiceClient
     from repro.utils.errors import ServiceError
 
     remove_kernel_build(src)
+    before = reference_speed_ns()
     start = time.perf_counter()
     daemon = Daemon(src, tempfile.mkdtemp(prefix="cache-", dir=scratch))
     try:
         client = ServiceClient(daemon.address, timeout=60.0)
         workload, params, mode = SETUP_QUESTION
         result = client.verify(workload, params=params, mode=mode)
-        setup_s = time.perf_counter() - start
+        setup_s = priced_s(time.perf_counter() - start, before, reference_speed_ns())
         outcome.attempted += 1
         if result.verdict.value != analytic_verdict(workload, params, mode):
             outcome.wrong.append(f"set-up answer {result.verdict.value}")
-        latencies = []
-        for slot, (workload, params, mode, seed, _) in enumerate(requests):
-            outcome.attempted += 1
-            began = time.perf_counter()
-            try:
-                result = client.verify(workload, params=params, seed=seed, mode=mode)
-            except ServiceError as exc:
-                outcome.wrong.append(f"{question_name(workload, params, mode)}: {exc}")
-                latencies.append(float("nan"))
-                continue
-            elapsed_ms = (time.perf_counter() - began) * 1000.0
-            latencies.append(elapsed_ms)
-            outcome.observe(slot, elapsed_ms)
-            check_service_answer(outcome, workload, params, mode, result)
+        latencies, timings = [], []
+        with SpeedProbe() as probe:
+            for slot, (workload, params, mode, seed, _) in enumerate(requests):
+                outcome.attempted += 1
+                first = probe.mark()
+                began = time.perf_counter()
+                try:
+                    result = client.verify(workload, params=params, seed=seed, mode=mode)
+                except ServiceError as exc:
+                    outcome.wrong.append(f"{question_name(workload, params, mode)}: {exc}")
+                    latencies.append(float("nan"))
+                    continue
+                elapsed_ms = (time.perf_counter() - began) * 1000.0
+                latencies.append(elapsed_ms)
+                timings.append((slot, elapsed_ms, first, probe.mark()))
+                check_service_answer(outcome, workload, params, mode, result)
+        for slot, elapsed_ms, first, last in timings:
+            outcome.observe(slot, probe.priced_ms(elapsed_ms, first, last))
         counts = _stats_counts(client.stats())
         rss_mb = daemon.peak_rss_mb()
         status = daemon.shutdown(client)
@@ -329,7 +349,7 @@ def run_service(src, seed, seconds, trace, scratch) -> Report:
 
     Every pass starts from the same state (new daemon, empty pool and
     cache), so request ``i`` does the same work in every pass and its
-    fastest latency is comparable across runs.  At least
+    median priced latency is comparable across runs.  At least
     :data:`SETUP_REPS` passes run, one per timed set-up.
     """
     from repro.service import DEFAULT_POOL_SIZE
@@ -339,7 +359,7 @@ def run_service(src, seed, seconds, trace, scratch) -> Report:
     stream.observe(*SETUP_QUESTION[:2])
     requests = stream.take(PASS_REQUESTS)
     model = {"pool_hits": stream.model_hits, "pool_misses": stream.model_misses}
-    outcome = Outcome.for_requests([miss for *_, miss in requests])
+    outcome = Outcome.for_requests([miss for *_, miss in requests], statistics.median)
     setups, rss, latencies = [], [], []
     start = time.perf_counter()
     last = 0.0
@@ -362,9 +382,11 @@ def run_service(src, seed, seconds, trace, scratch) -> Report:
         report.metrics, ungated = end_to_end(
             outcome, 99.0, statistics.median(setups), statistics.median(rss)
         )
+        misses = sum(outcome.cold)
         report.notes.append(
             f"{outcome.passes} fresh-daemon passes of {len(requests)} requests "
-            f"({sum(outcome.cold)} pool misses); latencies are each request's fastest"
+            f"({misses} pool misses, {misses / len(requests):.1%}); latencies are "
+            "each request's median, priced at the reference host speed"
         )
         report.notes.extend(ungated)
         return report
@@ -442,7 +464,7 @@ def _trace_service(report, tcp, requests, tcp_latencies, scratch) -> Report:
     values.update(
         {
             "service.transport_ms": statistics.mean(tcp_latencies)
-            - statistics.mean(untraced.best_ms),
+            - statistics.mean(untraced.request_ms()),
             "service.pool_hit_ratio": counts["pool_hits"] / pool_lookups,
             "cache.hit_ratio": counts["cache_hits"] / cache_lookups,
             "service.pool_hits": counts["pool_hits"],

@@ -14,7 +14,9 @@ request waits for the previous reply.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import random
+import statistics
 import time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -29,7 +31,7 @@ from corpora import (
     stored_queries,
     verdict_query,
 )
-from measure import Outcome
+from measure import Outcome, SpeedProbe
 from repro.program.ast import Program
 
 # ---------------------------------------------------------------------------
@@ -123,42 +125,54 @@ class LibraryWorkload:
         return plan
 
     @staticmethod
-    def execute(query: Query, program: Program, recording_seed: int) -> Tuple[object, Tuple, int]:
-        """Run one query; returns (answer, counts that must repeat, models)."""
+    def execute(
+        query: Query, program: Program, recording_seed: int
+    ) -> Tuple[object, Tuple, int, int]:
+        """Run one query; returns (answer, counts that must repeat, models,
+        native-kernel faults)."""
         if query.mode == "enumerate":
             matchings = enumerate_query(program, recording_seed)
-            return len(matchings), (len(matchings),), len(matchings)
+            return len(matchings), (len(matchings),), len(matchings), 0
         result = verdict_query(program, query.mode, query.encoder_options(), recording_seed)
         stats = result.solver_statistics or {}
         counts = (stats.get("sat_conflicts", 0), stats.get("sat_decisions", 0))
         models = 1 if result.witness is not None else 0
-        return result.verdict.value, counts, models
+        return result.verdict.value, counts, models, stats.get("kernel_faults", 0)
 
     def run_pass(
         self,
         plan: Sequence[Tuple[Query, Program, int]],
         outcome: Outcome,
+        timings: List[Tuple[int, float, int, int]],
         request: Optional[Callable] = None,
+        probe: Optional[SpeedProbe] = None,
     ) -> None:
-        """Run every query of ``plan`` once, recording into ``outcome``.
+        """Run every query of ``plan`` once, recording into ``outcome`` and
+        appending (slot, elapsed ms, first and last probe mark) to
+        ``timings``.
 
         ``request`` (the tracer's request scope) wraps each query when the
         pass is traced; the oracle check stays outside the timed region.
         """
         for slot, (query, program, recording_seed) in enumerate(plan):
             outcome.attempted += 1
+            first = probe.mark() if probe else 0
             start = time.perf_counter()
             try:
                 if request is None:
-                    answer, counts, models = self.execute(query, program, recording_seed)
+                    answer, counts, models, faults = self.execute(query, program, recording_seed)
                 else:
                     with request(query.name):
-                        answer, counts, models = self.execute(query, program, recording_seed)
+                        answer, counts, models, faults = self.execute(
+                            query, program, recording_seed
+                        )
             except Exception as exc:  # a failed query is counted, not fatal
                 outcome.wrong.append(f"{query.name}: {type(exc).__name__}: {exc}")
                 continue
-            outcome.observe(slot, (time.perf_counter() - start) * 1000.0)
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            timings.append((slot, elapsed_ms, first, probe.mark() if probe else 0))
             outcome.models += models
+            outcome.kernel_faults += faults
             if answer == "unknown":
                 outcome.unknown += 1
             elif answer != query.expected:
@@ -166,27 +180,41 @@ class LibraryWorkload:
             outcome.record_counts(f"{query.name}@{recording_seed}", counts)
 
     def measure(
-        self, plan, seconds: float, request=None, min_passes: int = 2
+        self, plan, seconds: float, request=None, min_passes: int = 2, priced: bool = True
     ) -> Outcome:
         """Whole passes over ``plan``: at least ``min_passes``, then more
         while another pass (as long as the last one) still fits in
-        ``seconds``."""
-        outcome = Outcome.for_requests([True] * len(plan))
+        ``seconds``.
+
+        With ``priced``, a :class:`SpeedProbe` runs through the passes, each
+        latency is priced at the reference host speed, and a query's
+        figure is the median over passes.  Without it (the traced run and
+        the untraced run it is compared with) latencies are raw wall times
+        and a query's figure is its fastest.
+        """
+        outcome = Outcome.for_requests(
+            [True] * len(plan), statistics.median if priced else min
+        )
+        probe = SpeedProbe() if priced else None
+        timings: List[Tuple[int, float, int, int]] = []
         start = time.perf_counter()
         last = 0.0
-        while outcome.passes < min_passes or (
-            time.perf_counter() - start + last <= seconds
-        ):
-            began = time.perf_counter()
-            self.run_pass(plan, outcome, request)
-            last = time.perf_counter() - began
-            outcome.passes += 1
+        with probe or contextlib.nullcontext():
+            while outcome.passes < min_passes or (
+                time.perf_counter() - start + last <= seconds
+            ):
+                began = time.perf_counter()
+                self.run_pass(plan, outcome, timings, request, probe)
+                last = time.perf_counter() - began
+                outcome.passes += 1
         outcome.wall_s = time.perf_counter() - start
+        for slot, elapsed_ms, first, end in timings:
+            outcome.observe(slot, probe.priced_ms(elapsed_ms, first, end) if probe else elapsed_ms)
         return outcome
 
 
 #: Preferred tail percentiles follow each pass's query count (the tail is
-#: taken over one value per query, its fastest): 86, 34 and 129 queries.
+#: taken over one value per query): 86, 34 and 129 queries.
 LIBRARY_WORKLOADS = {
     "arith_corpus": LibraryWorkload("arith_corpus", arith_corpus_queries, preferred_tail=85.0),
     "pairing_enum": LibraryWorkload("pairing_enum", pairing_enum_queries, preferred_tail=70.0),
@@ -331,3 +359,4 @@ def check_service_answer(outcome: Outcome, workload, params, mode, result) -> No
         )
     if verdict == VIOLATION:
         outcome.models += 1
+    outcome.kernel_faults += (result.solver_statistics or {}).get("kernel_faults", 0)
