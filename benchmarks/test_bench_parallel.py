@@ -149,16 +149,3 @@ def test_warm_cache_answers_batch_with_zero_solver_calls(
     )
     assert all(r.from_cache for r in final)
 
-
-@pytest.mark.benchmark(group="parallel")
-def test_portfolio_mode_matches_plain_verdicts(benchmark):
-    """Portfolio racing must never change an answer, whatever backends the
-    host happens to have."""
-    batch = _mixed_batch()[:8]
-    plain = verify_many_parallel(batch, jobs=1)
-    portfolio = benchmark.pedantic(
-        lambda: verify_many_parallel(batch, jobs=1, portfolio=True),
-        rounds=1,
-        iterations=1,
-    )
-    assert [r.verdict for r in portfolio] == [r.verdict for r in plain]

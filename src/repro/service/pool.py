@@ -4,8 +4,8 @@ Two layers:
 
 * :class:`SessionPool` — an LRU of live
   :class:`~repro.verification.session.VerificationSession` objects keyed by
-  trace fingerprint × encoder options × backend × theory mode
-  (:class:`PoolKey`).  A pool hit skips encoding entirely and lands on an
+  trace fingerprint × encoder options × backend × theory mode, plus
+  properties × mode for batch questions (:class:`PoolKey`).  A pool hit skips encoding entirely and lands on an
   incremental backend that has already learned the instance; per-entry hit
   counts and ages are exposed for the service's ``stats`` method, and
   entries can be invalidated explicitly by fingerprint.
@@ -19,12 +19,19 @@ Two layers:
   ``jobs=0`` runs everything inline (one shared pool, one lock), the mode
   the stdio/test path uses.
 
-Requests are *workload specs*, not traces: ``{"workload": "racy_fanin",
-"params": {"senders": 3}, "seed": 1}`` names a program from the CLI's
-workload registry, which the server records and fingerprints itself.
-Recorded traces do not round-trip through JSON (payload terms are
-stringified on export), and shipping them would defeat the warm-state
-design anyway.
+``WorkerPool`` is the only process-pool engine: the daemon and batch
+verification (:class:`~repro.verification.parallel.ParallelVerifier`) both
+run on it.  Requests come in two shapes:
+
+* **Workload specs** (the daemon): ``{"workload": "racy_fanin", "params":
+  {"senders": 3}, "seed": 1}`` names a program from the CLI's workload
+  registry, which the worker records and fingerprints itself.  Recorded
+  traces do not round-trip through JSON (payload terms are stringified on
+  export), so the wire protocol never carries them.
+* **Batch questions** (in-process callers): a recorded ``trace`` with its
+  encoder ``options``, ``properties``, ``mode``, ``backend``
+  (:class:`~repro.smt.backend.BackendSpec`) and cache ``key``.  The worker
+  pipe pickles requests, so the trace travels as is.
 """
 
 from __future__ import annotations
@@ -34,9 +41,10 @@ import multiprocessing
 import os
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.encoding.encoder import EncoderOptions, MatchPairStrategy
@@ -51,7 +59,12 @@ from repro.utils.errors import (
     ServiceError,
     SolverError,
 )
-from repro.verification.cache import ResultCache, make_cache_key
+from repro.verification.cache import (
+    CacheKey,
+    ResultCache,
+    make_cache_key,
+    translate_witness,
+)
 from repro.verification.result import Verdict, VerificationResult
 from repro.verification.session import (
     VERIFICATION_MODES,
@@ -76,6 +89,14 @@ HARD_KILL_FACTOR = 1.5
 #: spec that keeps crashing is deterministic about it.
 POISON_CRASH_LIMIT = 3
 
+#: Crash-ledger entries kept (least recently crashed dropped first).  A
+#: dropped spec only loses its progress towards :data:`POISON_CRASH_LIMIT`.
+CRASH_LEDGER_SIZE = 1024
+
+#: Degradation events kept for the ``stats`` reply; older ones only count
+#: towards the running total, so the reply stays bounded.
+DEGRADATION_LOG_SIZE = 64
+
 #: External backends that degrade to the in-tree engine when their solver
 #: binary is lost mid-flight (see :meth:`_Executor._verify`).
 _DEGRADABLE_BACKENDS = ("smtlib", "smtlib-pipe")
@@ -93,10 +114,19 @@ class PoolKey:
     options: str
     backend: str
     theory_mode: str
+    #: Batch questions only: the property set and mode, which a workload
+    #: spec fixes by construction (its trace's assertions, any mode).
+    question: str = ""
 
     def digest(self) -> str:
         joined = "\x1f".join(
-            (self.fingerprint, self.options, self.backend, self.theory_mode)
+            (
+                self.fingerprint,
+                self.options,
+                self.backend,
+                self.theory_mode,
+                self.question,
+            )
         )
         return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
@@ -288,6 +318,36 @@ class _Executor:
         except Exception as exc:  # never let a request take the worker down
             return {"ok": False, "error": repr(exc), "kind": type(exc).__name__}
 
+    def _question_session(
+        self, request: Dict[str, object]
+    ) -> Tuple[VerificationSession, bool, PoolKey]:
+        """The warm session for one batch question (see the module docs).
+
+        The key covers everything the question's cache key does, plus the
+        full backend spec, so a warm session only ever answers the exact
+        question it was built for.
+        """
+        question: CacheKey = request["key"]
+        spec = request["backend"]
+        key = PoolKey(
+            fingerprint=question.fingerprint,
+            options=question.options,
+            backend=f"{spec.name}{list(spec.kwargs)}",
+            theory_mode=str(dict(spec.kwargs).get("theory_mode") or "default"),
+            question=f"{question.properties}\x1f{question.mode}",
+        )
+        entry = self.pool.get(key)
+        if entry is not None:
+            return entry.session, True, key
+        session = VerificationSession(
+            request["trace"],
+            options=request.get("options"),
+            properties=request.get("properties"),
+            backend=spec.create(),
+        )
+        self.pool.put(key, session)
+        return session, False, key
+
     def _verify(self, request: Dict[str, object]) -> Dict[str, object]:
         mode = request.get("mode", "safety")
         if mode not in VERIFICATION_MODES:
@@ -296,35 +356,51 @@ class _Executor:
             )
         timeout_s = request.get("timeout_s")
         timeout_s = None if timeout_s is None else float(timeout_s)
+        del self.degradations[:-DEGRADATION_LOG_SIZE]
         events_before = len(self.degradations)
         failures_before = self.cache.store_failures if self.cache is not None else 0
-        session, pool_hit, key = self._resolve_session(request)
         cache_key = None
-        if self.cache is not None:
-            # The shared cache answers across processes and daemon restarts;
-            # the mode joins the key exactly as in the batch lane.
-            resolved_options, properties = resolve_mode(
-                mode, session._encoder.options, None
-            )
-            cache_key = make_cache_key(
-                session.trace,
-                properties=properties,
-                options=resolved_options,
-                backend=key.backend,
-                mode=mode,
-            )
-            cached = self.cache.lookup(cache_key, session.trace)
-            if cached is not None:
-                return {
-                    "ok": True,
-                    "result": result_to_payload(cached),
-                    "pool_hit": pool_hit,
-                    "fingerprint": key.fingerprint,
-                }
-        try:
-            result = session.verdict(mode=mode, timeout_s=timeout_s)
-        except (BackendUnavailableError, SolverError) as exc:
-            result = self._degraded_verdict(request, key, exc, mode, timeout_s)
+        if "trace" in request:
+            # A batch question: its options and properties already encode
+            # the mode, and the caller owns the cache and the backend choice
+            # (no ladder: an unavailable backend is the caller's error).
+            session, pool_hit, key = self._question_session(request)
+            result = session.verdict(timeout_s=timeout_s)
+            trace = request["trace"]
+            if result.witness is not None and session.trace is not trace:
+                # A warm session built from another recording of the same
+                # question: re-express the witness in this trace's ids.
+                result = replace(
+                    result,
+                    witness=translate_witness(result.witness, session.trace, trace),
+                )
+        else:
+            session, pool_hit, key = self._resolve_session(request)
+            if self.cache is not None:
+                # The shared cache answers across processes and daemon
+                # restarts; the mode joins the key exactly as in the batch lane.
+                resolved_options, properties = resolve_mode(
+                    mode, session._encoder.options, None
+                )
+                cache_key = make_cache_key(
+                    session.trace,
+                    properties=properties,
+                    options=resolved_options,
+                    backend=key.backend,
+                    mode=mode,
+                )
+                cached = self.cache.lookup(cache_key, session.trace)
+                if cached is not None:
+                    return {
+                        "ok": True,
+                        "result": result_to_payload(cached),
+                        "pool_hit": pool_hit,
+                        "fingerprint": key.fingerprint,
+                    }
+            try:
+                result = session.verdict(mode=mode, timeout_s=timeout_s)
+            except (BackendUnavailableError, SolverError) as exc:
+                result = self._degraded_verdict(request, key, exc, mode, timeout_s)
         if result.solver_statistics and result.solver_statistics.get("kernel_faults"):
             self._record_degradation(
                 layer="kernel",
@@ -333,7 +409,7 @@ class _Executor:
                 reason="runtime kernel fault during propagation",
                 request=request,
             )
-        if self.cache is not None and cache_key is not None:
+        if cache_key is not None:
             self.cache.store(cache_key, result)
         response = {
             "ok": True,
@@ -359,7 +435,7 @@ class _Executor:
                 "from": from_,
                 "to": to,
                 "reason": str(reason)[:200],
-                "workload": request.get("workload"),
+                "workload": _request_tag(request),
             }
         )
 
@@ -411,6 +487,14 @@ class _Executor:
         }
 
 
+def _request_tag(request: Dict[str, object]) -> Optional[str]:
+    """What a request is about, for fault rules' ``match`` and event logs:
+    the workload name, or the program name a batch question's trace was
+    recorded from."""
+    trace = request.get("trace")
+    return request.get("workload") if trace is None else trace.name
+
+
 def _timeout_response(timeout_s: float) -> Dict[str, object]:
     """The canonical answer for a request whose worker had to be killed."""
     result = VerificationResult(verdict=Verdict.UNKNOWN, unknown_reason="timeout")
@@ -431,18 +515,14 @@ def _worker_main(conn, pool_size: int, cache_dir: Optional[str]) -> None:
             return
         request_id, request = message
         if faults.ACTIVE is not None:
-            rule = faults.draw(
-                "pool.worker.request", tag=str(request.get("workload"))
-            )
+            rule = faults.draw("pool.worker.request", tag=str(_request_tag(request)))
             if rule is not None:
                 if rule.kind in ("crash", "exit"):
                     os._exit(faults.EXIT_CODE)  # hard death mid-request
                 time.sleep(rule.sleep_s)  # hang/slow: the hard kill decides
         response = executor.execute(request)
         if faults.ACTIVE is not None:
-            rule = faults.draw(
-                "pool.worker.reply", tag=str(request.get("workload"))
-            )
+            rule = faults.draw("pool.worker.reply", tag=str(_request_tag(request)))
             if rule is not None and rule.kind in ("crash", "exit"):
                 os._exit(faults.EXIT_CODE)  # death after solving, before reply
         try:
@@ -565,7 +645,9 @@ class WorkerPool:
     ``jobs >= 1`` spawns that many processes eagerly (so they inherit the
     parent's backend registry via fork).  ``jobs = 0`` solves inline in the
     calling thread against one shared :class:`SessionPool` — no process
-    boundary, one lock, deterministic for tests.
+    boundary, one lock, deterministic for tests; there an injected worker
+    crash answers ``UNKNOWN(reason="worker_crash")`` at once, as there is
+    no process to lose and respawn.
     """
 
     def __init__(
@@ -585,10 +667,15 @@ class WorkerPool:
         self.poisoned = 0
         #: Durable ledgers fed by deltas shipped back on responses; they
         #: survive the worker processes that produced them.
-        self.degradation_events: List[Dict[str, object]] = []
+        self.degradation_events: Deque[Dict[str, object]] = deque(
+            maxlen=DEGRADATION_LOG_SIZE
+        )
+        self.degradations_total = 0
         self.cache_store_failures = 0
-        self._crash_counts: Dict[str, int] = {}
-        self._crash_lock = threading.Lock()
+        self._crash_counts: "OrderedDict[str, int]" = OrderedDict()
+        #: Guards the counters and ledgers: batch lanes and daemon executor
+        #: threads update them concurrently.
+        self._ledger_lock = threading.Lock()
         self._closed = False
         if jobs == 0:
             cache = ResultCache(directory=cache_dir) if cache_dir else None
@@ -607,7 +694,10 @@ class WorkerPool:
 
     @staticmethod
     def _spec_key(request: Dict[str, object]) -> str:
-        """Stable digest of everything that identifies one workload spec."""
+        """Stable digest of everything that identifies one request's question."""
+        question = request.get("key")
+        if question is not None:  # a batch question names itself
+            return question.digest()
         spec = (
             str(request.get("workload")),
             str(sorted((request.get("params") or {}).items())),
@@ -620,9 +710,22 @@ class WorkerPool:
         return hashlib.sha256("\x1f".join(spec).encode("utf-8")).hexdigest()
 
     def _route(self, request: Dict[str, object]) -> _PooledWorker:
-        """Affinity routing: same workload spec → same worker → warm pool."""
+        """Affinity routing: same question → same worker → warm pool."""
         digest = self._spec_key(request)
         return self._workers[int(digest, 16) % len(self._workers)]
+
+    def _count_crash(self, spec_key: Optional[str]) -> int:
+        """Record one worker crash, against ``spec_key`` when given;
+        returns that spec's crash count."""
+        with self._ledger_lock:
+            self.worker_crashes += 1
+            if spec_key is None:
+                return 0
+            crashed = self._crash_counts.pop(spec_key, 0) + 1
+            self._crash_counts[spec_key] = crashed
+            if len(self._crash_counts) > CRASH_LEDGER_SIZE:
+                self._crash_counts.popitem(last=False)
+        return crashed
 
     @staticmethod
     def _crash_response() -> Dict[str, object]:
@@ -649,7 +752,7 @@ class WorkerPool:
         is_verify = request.get("op", "verify") == "verify"
         spec_key = self._spec_key(request) if is_verify else None
         if spec_key is not None:
-            with self._crash_lock:
+            with self._ledger_lock:
                 crashed = self._crash_counts.get(spec_key, 0)
             if crashed >= POISON_CRASH_LIMIT:
                 return self._crash_response()
@@ -657,18 +760,15 @@ class WorkerPool:
             for attempt in (0, 1):
                 try:
                     return worker.solve(request, timeout_s)
-                except _WorkerDied as exc:
-                    self.worker_crashes += 1
-                    if spec_key is not None:
-                        with self._crash_lock:
-                            crashed = self._crash_counts.get(spec_key, 0) + 1
-                            self._crash_counts[spec_key] = crashed
-                        if crashed >= POISON_CRASH_LIMIT:
+                except _WorkerDied:
+                    if self._count_crash(spec_key) >= POISON_CRASH_LIMIT:
+                        with self._ledger_lock:
                             self.poisoned += 1
-                            return self._crash_response()
+                        return self._crash_response()
                     if attempt == 1:
                         raise  # the _WorkerDied maps to WORKER_CRASH on the wire
-                    self.redispatches += 1
+                    with self._ledger_lock:
+                        self.redispatches += 1
         raise ServiceError("unreachable")  # pragma: no cover
 
     def submit(
@@ -678,6 +778,15 @@ class WorkerPool:
         if self._closed:
             raise ServiceError("worker pool is closed")
         if self._inline is not None:
+            if faults.ACTIVE is not None:
+                rule = faults.draw(
+                    "pool.worker.request", tag=str(_request_tag(request))
+                )
+                if rule is not None and rule.kind in ("crash", "exit"):
+                    self._count_crash(None)
+                    return self._crash_response()
+                if rule is not None:
+                    time.sleep(rule.sleep_s)
             with self._inline_lock:
                 response = self._inline.execute(
                     dict(request, timeout_s=timeout_s)
@@ -687,16 +796,53 @@ class WorkerPool:
         else:
             worker = self._route(request)
             response = self._dispatch(worker, request, timeout_s)
+        self._absorb(response)
+        return response
+
+    def _absorb(self, response: Dict[str, object]) -> None:
+        """Move a response's ledger deltas into the durable parent ledgers."""
         events = response.pop("degradations", None)
-        if events:
-            self.degradation_events.extend(events)
-        self.cache_store_failures += response.pop("store_failures", 0)
-        if (
+        timed_out = (
             response.get("ok")
             and (response.get("result") or {}).get("unknown_reason") == "timeout"
-        ):
-            self.timeouts += 1
-        return response
+        )
+        with self._ledger_lock:
+            if events:
+                self.degradation_events.extend(events)
+                self.degradations_total += len(events)
+            self.cache_store_failures += response.pop("store_failures", 0)
+            self.timeouts += bool(timed_out)
+
+    def map(
+        self, requests: Sequence[Dict[str, object]], timeout_s: Optional[float] = None
+    ) -> List[Dict[str, object]]:
+        """Solve a batch of requests; responses come back in input order.
+
+        Requests are grouped by the worker they route to and each group is
+        drained on its own thread, so every worker stays busy.  A request
+        whose worker died under it twice answers
+        ``UNKNOWN(reason="worker_crash")``: a batch has no client to resend
+        it.
+        """
+        responses: List[Dict[str, object]] = [{}] * len(requests)
+
+        def drain(indices: List[int]) -> None:
+            for index in indices:
+                try:
+                    responses[index] = self.submit(requests[index], timeout_s)
+                except _WorkerDied:
+                    responses[index] = self._crash_response()
+
+        if self._inline is not None or len(requests) <= 1:
+            drain(list(range(len(requests))))
+            return responses
+        lanes: Dict[int, List[int]] = {}
+        for index, request in enumerate(requests):
+            lanes.setdefault(id(self._route(request)), []).append(index)
+        with ThreadPoolExecutor(max_workers=len(lanes)) as threads:
+            for lane in [threads.submit(drain, group) for group in lanes.values()]:
+                lane.result()
+        return responses
 
     def broadcast(self, request: Dict[str, object]) -> List[Dict[str, object]]:
         """Run one op (stats/invalidate) on every worker; returns all answers."""
@@ -723,6 +869,7 @@ class WorkerPool:
             "redispatches": self.redispatches,
             "poisoned": self.poisoned,
             "degradations": list(self.degradation_events),
+            "degradations_total": self.degradations_total,
             "pool": {
                 "hits": sum(p["hits"] for p in pools),
                 "misses": sum(p["misses"] for p in pools),

@@ -26,6 +26,7 @@ from repro.verification.result import Verdict, VerificationResult
 
 __all__ = [
     "MAX_FRAME_BYTES",
+    "MAX_BATCH_QUERIES",
     "PARSE_ERROR",
     "INVALID_REQUEST",
     "METHOD_NOT_FOUND",
@@ -45,6 +46,10 @@ __all__ = [
 #: Ceiling on one frame's size.  A verify request is a workload spec (tens
 #: of bytes); anything near this bound is a confused or malicious peer.
 MAX_FRAME_BYTES = 1 << 20
+
+#: Ceiling on one ``verify_batch`` call's query list.  A result payload is
+#: about 1 KB, so a full batch's reply stays well inside one frame.
+MAX_BATCH_QUERIES = 256
 
 # JSON-RPC 2.0 standard error codes.
 PARSE_ERROR = -32700

@@ -139,6 +139,11 @@ class VerificationService:
         queries = params.get("queries")
         if not isinstance(queries, list) or not queries:
             raise ServiceError("verify_batch needs a non-empty 'queries' list")
+        if len(queries) > protocol.MAX_BATCH_QUERIES:
+            raise ServiceError(
+                f"verify_batch takes at most {protocol.MAX_BATCH_QUERIES} "
+                f"queries, got {len(queries)}; split the batch"
+            )
         shared = {
             key: value for key, value in params.items() if key != "queries"
         }
@@ -164,6 +169,25 @@ class VerificationService:
         stats["protocol_errors"] = self.errors
         stats["version"] = __version__
         return stats
+
+    def encode_reply(self, response: Dict[str, object]) -> bytes:
+        """Frame one reply for the wire.
+
+        A reply over the frame limit becomes an ``INVALID_PARAMS`` error
+        that keeps the request id: clients do not retry it, and the
+        connection keeps serving instead of closing mid-stream.
+        """
+        try:
+            return protocol.encode_frame(response)
+        except ServiceProtocolError as exc:
+            self.errors += 1
+            return protocol.encode_frame(
+                protocol.make_error(
+                    response.get("id"),
+                    protocol.INVALID_PARAMS,
+                    f"reply too large: {exc}; split the request",
+                )
+            )
 
     def close(self) -> None:
         self.pool.close()
@@ -213,7 +237,7 @@ class VerificationService:
                     response = await loop.run_in_executor(
                         None, self.handle_json, message
                     )
-                writer.write(protocol.encode_frame(response))
+                writer.write(self.encode_reply(response))
                 await writer.drain()
                 if self.shutdown_requested:
                     break
@@ -338,7 +362,7 @@ def run_stdio(
                 response = protocol.make_error(None, protocol.PARSE_ERROR, str(exc))
             else:
                 response = service.handle_json(message)
-            stdout.write(protocol.encode_frame(response).decode("utf-8"))
+            stdout.write(service.encode_reply(response).decode("utf-8"))
             stdout.flush()
             if service.shutdown_requested:
                 break

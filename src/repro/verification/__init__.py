@@ -4,9 +4,9 @@ The primary entry point is :class:`VerificationSession` (encode once, query
 many times against one incremental solver backend) together with the batch
 helper :func:`verify_many`; :class:`SymbolicVerifier` remains as a
 backwards-compatible call-per-query facade.  Batch traffic scales out
-through :class:`ParallelVerifier` / :func:`verify_many_parallel` (process
-sharding, fingerprint dedup, portfolio racing) with answers memoised in a
-:class:`ResultCache`.
+through :class:`ParallelVerifier` / :func:`verify_many_parallel`
+(fingerprint dedup, dispatch on the service's worker pool) with answers
+memoised in a :class:`ResultCache`.
 """
 
 from repro.verification.result import Verdict, VerificationResult
@@ -32,7 +32,6 @@ from repro.verification.cache import (
 )
 from repro.verification.parallel import (
     ParallelVerifier,
-    default_portfolio,
     verify_many_parallel,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "verify_many",
     "verify_many_parallel",
     "ParallelVerifier",
-    "default_portfolio",
     "CACHE_SCHEMA_VERSION",
     "ResultCache",
     "CacheKey",

@@ -74,7 +74,13 @@ from repro.trace.trace import ExecutionTrace
 from repro.utils.errors import CacheSchemaError
 from repro.verification.result import Verdict, VerificationResult
 
-__all__ = ["CACHE_SCHEMA_VERSION", "CacheKey", "ResultCache", "make_cache_key"]
+__all__ = [
+    "CACHE_SCHEMA_VERSION",
+    "CacheKey",
+    "ResultCache",
+    "make_cache_key",
+    "translate_witness",
+]
 
 #: Version of the cache key layout + entry format.  Bump whenever the key
 #: composition changes (as the deadlock mode did when it joined the key):
@@ -247,6 +253,14 @@ def _decode_witness(trace: ExecutionTrace, payload: Dict[str, object]) -> Witnes
         unmatched_receives=unmatched,
         orphan_sends=orphans,
     )
+
+
+def translate_witness(
+    witness: Witness, source: ExecutionTrace, target: ExecutionTrace
+) -> Witness:
+    """Re-express ``witness``, given in ``source``'s recv/send ids, in the
+    ids of the fingerprint-equal ``target``."""
+    return _decode_witness(target, _encode_witness(source, witness))
 
 
 # ---------------------------------------------------------------------------

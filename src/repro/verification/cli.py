@@ -20,13 +20,12 @@ recording run are analysed via their static symbolic trace.
 
 Batch mode — ``--repeat`` records the workload several times (consecutive
 seeds) and verifies the whole batch through
-:func:`~repro.verification.parallel.verify_many_parallel`: ``--jobs`` shards
-the distinct traces over worker processes, ``--portfolio`` races the dpllt
-and smtlib backends per trace, and ``--cache-dir`` memoises verdicts on disk
-keyed by trace fingerprint::
+:func:`~repro.verification.parallel.verify_many_parallel`: ``--jobs``
+dispatches the distinct traces to worker processes, and ``--cache-dir``
+memoises verdicts on disk keyed by trace fingerprint::
 
     mcapi-verify --workload racy_fanin --repeat 8 --jobs 4
-    mcapi-verify --workload figure1 --repeat 4 --portfolio --cache-dir .mcapi-cache
+    mcapi-verify --workload figure1 --repeat 4 --cache-dir .mcapi-cache
 
 ``--timeout SECONDS`` bounds each solver check; a query that exceeds its
 budget reports ``unknown`` (reason: timeout) instead of running forever.
@@ -265,18 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard the batch's distinct traces over N worker processes",
-    )
-    parser.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="race the dpllt and smtlib backends per trace, first verdict wins",
-    )
-    parser.add_argument(
-        "--portfolio-theory",
-        action="store_true",
-        help="race theory_mode=online vs offline dpllt engines per trace; "
-        "the winner's mode is reported per result",
+        help="dispatch the batch's distinct traces to N worker processes",
     )
     parser.add_argument(
         "--cache-dir",
@@ -341,24 +329,11 @@ def _solver_knob_kwargs(args: argparse.Namespace) -> Dict[str, object]:
 
 
 def _run_batch(args: argparse.Namespace, program: Program, options, mode: str) -> int:
-    """Verify a ``--repeat``/``--jobs``/``--portfolio``/``--cache-dir`` batch."""
+    """Verify a ``--repeat``/``--jobs``/``--cache-dir`` batch."""
     from repro.program.interpreter import run_program
     from repro.program.statictrace import static_trace
     from repro.verification.parallel import verify_many_parallel
 
-    if args.portfolio and args.portfolio_theory:
-        print(
-            "error: pick one of --portfolio and --portfolio-theory",
-            file=sys.stderr,
-        )
-        return 2
-    if args.theory_mode is not None and (args.portfolio or args.portfolio_theory):
-        print(
-            "error: --theory-mode cannot be combined with a portfolio "
-            "(the portfolio races its own fixed backend lineup)",
-            file=sys.stderr,
-        )
-        return 2
     for flag in ("show_trace", "show_smt", "stats"):
         if getattr(args, flag):
             print(
@@ -379,21 +354,11 @@ def _run_batch(args: argparse.Namespace, program: Program, options, mode: str) -
             traces.append(static_trace(program))
         else:
             traces.append(run.trace)
-    portfolio = "theory" if args.portfolio_theory else args.portfolio
-    backend = None if portfolio else args.backend
+    backend = args.backend
     spec_kwargs = _solver_knob_kwargs(args)
     if args.theory_mode is not None:
         spec_kwargs["theory_mode"] = args.theory_mode
     if spec_kwargs:
-        if portfolio:
-            # Mirror the verify_many API: silently running both contenders
-            # with default knobs would misreport what was measured.
-            print(
-                "error: solver knobs (--no-reduce-db/--theory-bump/"
-                "--no-idl-propagation) cannot be combined with a portfolio",
-                file=sys.stderr,
-            )
-            return 2
         from repro.smt.backend import BackendSpec
 
         backend = BackendSpec.of(backend, **spec_kwargs)
@@ -402,7 +367,6 @@ def _run_batch(args: argparse.Namespace, program: Program, options, mode: str) -
         jobs=max(args.jobs, 1),
         backend=backend,
         options=options,
-        portfolio=portfolio,
         cache_dir=args.cache_dir,
         mode=mode,
         timeout_s=args.timeout,
@@ -455,13 +419,6 @@ def _run_remote(args: argparse.Namespace, mode: str) -> int:
     """``--server ADDR`` — offload the query to a running daemon."""
     from repro.service import ServiceClient
 
-    if args.portfolio or args.portfolio_theory:
-        print(
-            "error: portfolio flags cannot be combined with --server "
-            "(the daemon picks its own backends)",
-            file=sys.stderr,
-        )
-        return 2
     for flag in ("show_trace", "show_smt"):
         if getattr(args, flag):
             print(
@@ -607,13 +564,7 @@ def main(argv: Optional[list] = None) -> int:
         enforce_pair_fifo=args.pair_fifo,
     )
     try:
-        if (
-            args.repeat > 1
-            or args.jobs > 1
-            or args.portfolio
-            or args.portfolio_theory
-            or args.cache_dir is not None
-        ):
+        if args.repeat > 1 or args.jobs > 1 or args.cache_dir is not None:
             return _run_batch(args, program, options, mode)
         # Resolve the mode up front so the session is built in the right
         # configuration directly (one encoding), exactly like the batch lane.

@@ -1,29 +1,26 @@
-"""Sharded parallel batch verification with fingerprint dedup and caching.
+"""Batch verification on the service's worker pool, with dedup and caching.
 
 :func:`repro.verification.session.verify_many` answers a batch one item at a
-time in one process.  This module is the scale-out layer on top of the same
-session machinery:
+time in one process.  :class:`ParallelVerifier` is the scale-out lane over
+the same session machinery, and a thin client of
+:class:`repro.service.pool.WorkerPool` — the engine the daemon runs on.  A
+batch takes one path:
 
-* **Sharding** — :class:`ParallelVerifier` distributes the batch over a
-  ``multiprocessing`` pool of worker processes.  Workers never receive live
-  solver objects; they receive picklable
-  :class:`~repro.smt.backend.BackendSpec` descriptions and each builds its
-  own :class:`~repro.verification.session.VerificationSession` per trace,
-  so no solver state ever crosses a process boundary.
-* **Dedup** — before anything is scheduled, every trace is fingerprinted
-  (:func:`repro.trace.fingerprint.trace_fingerprint`) and the batch is
-  collapsed onto distinct ``(fingerprint, properties, options, backend)``
-  keys.  Each distinct question is solved exactly once; duplicates get the
-  representative's verdict with the witness translated onto their own
-  trace's identifiers.
-* **Caching** — an optional :class:`~repro.verification.cache.ResultCache`
-  (in-memory LRU, optionally disk-backed) answers repeats *across* batches
-  without solving at all.
-* **Portfolio** — with ``portfolio=True`` each trace is raced on several
-  backends at once (by default the in-tree ``dpllt`` engine against the
-  external ``smtlib`` process solver) and the first conclusive verdict
-  wins.  Backends that are unavailable on the host are skipped silently,
-  so a portfolio degrades gracefully to whatever is installed.
+1. **Normalise** — programs are recorded with the verifier's seed (in
+   deadlock mode a blocked recording falls back to the static trace).
+2. **Cache** — each item's question key (fingerprint × properties ×
+   encoder options × backend × mode) is looked up in the optional
+   :class:`~repro.verification.cache.ResultCache`.
+3. **Dedup** — the misses collapse onto distinct keys; each distinct
+   question is solved once.
+4. **Dispatch** — every distinct question goes to the pool as one request
+   carrying its recorded trace, routed by key affinity, so a repeat lands
+   on the worker that holds its warm session.
+5. **Recovery** — the pool's: a worker that dies mid-request is respawned
+   and the request re-dispatched once; a question that keeps killing
+   workers answers ``UNKNOWN(reason="worker_crash")``; with worker
+   processes, a request past 1.5x its deadline has its worker killed and
+   answers ``UNKNOWN(reason="timeout")``.
 
 **Invariants.**
 
@@ -31,218 +28,43 @@ session machinery:
   solving, dedup and cache hits produced them; every duplicate- or
   cache-answered item is marked ``from_cache=True``.
 * **No solver state crosses a process boundary** — workers receive only
-  picklable specs and traces, so a parallel run can never observe another
-  item's learned clauses, scopes or assumptions.
-* Two items share an answer **only if their full question key matches**:
-  fingerprint × properties × encoder options × backend × verification
-  mode.  Witnesses shared that way are re-expressed in each item's own
-  trace identifiers via the canonical ``(thread, thread_index)`` naming —
-  never copied verbatim.
-* ``UNKNOWN`` never propagates: it is not cached, not deduplicated across
-  batches, and in portfolio mode only wins when *every* contender is
-  inconclusive — so a budget artefact on one path cannot mask a
-  conclusive answer from another.
+  picklable traces and :class:`~repro.smt.backend.BackendSpec`\\ s and
+  build their own sessions.
+* Two items share an answer **only if their full question key matches**,
+  and a warm session only answers the question it was built for.
+  Witnesses shared that way are re-expressed in each item's own trace
+  identifiers via the canonical ``(thread, thread_index)`` naming — never
+  copied verbatim.
+* ``UNKNOWN`` is never cached, so a budget or crash artefact stays
+  retryable.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue
-import threading
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro import faults
 from repro.encoding.encoder import EncoderOptions
 from repro.encoding.properties import Property
 from repro.program.ast import Program
 from repro.program.interpreter import ProgramRun, run_program
 from repro.program.statictrace import static_trace
+from repro.service.pool import WorkerPool
+from repro.service.protocol import payload_to_result
 from repro.smt.backend import BackendSpec
 from repro.trace.trace import ExecutionTrace
-from repro.utils.errors import (
-    BackendUnavailableError,
-    EncodingError,
-    SolverError,
-)
+from repro.utils import errors
+from repro.utils.errors import EncodingError, SolverError
 from repro.verification.cache import (
     CacheKey,
     ResultCache,
-    _decode_witness,
-    _encode_witness,
     make_cache_key,
+    translate_witness,
 )
-from repro.verification.result import Verdict, VerificationResult
-from repro.verification.session import (
-    VerificationSession,
-    _recording_run,
-    resolve_mode,
-)
+from repro.verification.result import VerificationResult
+from repro.verification.session import _recording_run, resolve_mode
 
-__all__ = [
-    "ParallelVerifier",
-    "verify_many_parallel",
-    "default_portfolio",
-    "theory_portfolio",
-]
-
-
-def default_portfolio(max_solver_iterations: int = 200_000) -> List[BackendSpec]:
-    """The backends a portfolio races by default: dpllt vs smtlib."""
-    return [
-        BackendSpec.of("dpllt", max_iterations=max_solver_iterations),
-        BackendSpec.of("smtlib"),
-    ]
-
-
-def theory_portfolio(max_solver_iterations: int = 200_000) -> List[BackendSpec]:
-    """The ``portfolio="theory"`` lineup: dpllt online vs dpllt offline.
-
-    Racing the two theory integrations of the same engine hedges the rare
-    pathological online case (e.g. propagation-heavy instances where the
-    offline lazy loop's coarse blocking clauses happen to converge faster)
-    at the cost of one redundant solve per trace.
-    """
-    return [
-        BackendSpec.of(
-            "dpllt", max_iterations=max_solver_iterations, theory_mode="online"
-        ),
-        BackendSpec.of(
-            "dpllt", max_iterations=max_solver_iterations, theory_mode="offline"
-        ),
-    ]
-
-
-def _spec_label(spec: BackendSpec) -> str:
-    """Human-readable spec name: the backend plus its theory mode, if any."""
-    mode = dict(spec.kwargs).get("theory_mode")
-    return f"{spec.name}[{mode}]" if mode else spec.name
-
-
-@dataclass
-class _SolveTask:
-    """One distinct verification question, shipped to a worker process."""
-
-    position: int
-    trace: ExecutionTrace
-    options: Optional[EncoderOptions]
-    properties: Optional[Sequence[Property]]
-    specs: Tuple[BackendSpec, ...]
-    portfolio: bool
-    max_solver_iterations: int
-    timeout_s: Optional[float] = None
-
-
-def _session_for(
-    task: _SolveTask, spec: BackendSpec, problem=None
-) -> VerificationSession:
-    return VerificationSession(
-        task.trace,
-        options=task.options,
-        properties=task.properties,
-        backend=spec.create(),
-        max_solver_iterations=task.max_solver_iterations,
-        problem=problem,
-    )
-
-
-def _race_portfolio(task: _SolveTask) -> VerificationResult:
-    """Race every available backend; first conclusive verdict wins.
-
-    The in-tree engine is pure Python (GIL-bound) while the external
-    process backend releases the GIL in ``subprocess.run``, so a thread
-    race genuinely overlaps them.  The trace is encoded once and the
-    problem shared by every contender.  UNKNOWN answers only win when
-    every contender is inconclusive.
-
-    Contenders run on daemon threads: the race returns (and the process
-    may exit) as soon as one backend is conclusive, without joining the
-    losers.  A losing in-tree solve burns CPU until its iteration budget;
-    a losing external solve is abandoned to its subprocess timeout.
-    """
-    sessions: List[Tuple[VerificationSession, str]] = []
-    problem = None
-    for spec in task.specs:
-        try:
-            session = _session_for(task, spec, problem=problem)
-        except BackendUnavailableError:
-            continue
-        sessions.append((session, _spec_label(spec)))
-        problem = session.problem  # encode once, share with later contenders
-    if not sessions:
-        raise BackendUnavailableError(
-            "no portfolio backend is available on this host: "
-            + ", ".join(_spec_label(spec) for spec in task.specs)
-        )
-    if len(sessions) == 1:
-        session, label = sessions[0]
-        result = session.verdict(timeout_s=task.timeout_s)
-        result.backend = label
-        return result
-
-    outcomes: "queue.Queue[Tuple[Optional[VerificationResult], Optional[Exception]]]" = (
-        queue.Queue()
-    )
-
-    def contend(session: VerificationSession, label: str) -> None:
-        try:
-            result = session.verdict(timeout_s=task.timeout_s)
-            # Label the result with the contender that produced it — for a
-            # theory portfolio both contenders share the backend name, and
-            # the winner's mode is part of the answer.
-            result.backend = label
-            outcomes.put((result, None))
-        except Exception as exc:  # surfaced only if every contender fails
-            outcomes.put((None, exc))
-
-    for session, label in sessions:
-        threading.Thread(
-            target=contend,
-            args=(session, label),
-            daemon=True,
-            name="portfolio-contender",
-        ).start()
-
-    inconclusive: Optional[VerificationResult] = None
-    failure: Optional[Exception] = None
-    for _ in sessions:
-        result, error = outcomes.get()
-        if error is not None:
-            failure = error
-        elif result.verdict is not Verdict.UNKNOWN:
-            return result  # losers keep running unjoined; results discarded
-        else:
-            inconclusive = result
-    if inconclusive is not None:
-        return inconclusive
-    raise failure if failure is not None else SolverError(
-        "portfolio produced no result"
-    )
-
-
-def _solve_task(task: _SolveTask) -> Tuple[int, VerificationResult]:
-    """Worker entry point: solve one distinct question, return its result."""
-    if faults.ACTIVE is not None:
-        rule = faults.draw("parallel.task", tag=str(task.position))
-        if rule is not None:
-            if rule.kind in ("crash", "exit"):
-                if multiprocessing.current_process().name == "MainProcess":
-                    # Inline/serial execution: a hard exit would take the
-                    # caller down, so the crash surfaces as an exception
-                    # the serial lane converts to UNKNOWN(worker_crash).
-                    raise faults.FaultInjected(
-                        "injected worker crash at parallel.task"
-                    )
-                os._exit(faults.EXIT_CODE)
-            time.sleep(rule.sleep_s)
-    if task.portfolio:
-        return task.position, _race_portfolio(task)
-    session = _session_for(task, task.specs[0])
-    return task.position, session.verdict(timeout_s=task.timeout_s)
+__all__ = ["ParallelVerifier", "verify_many_parallel"]
 
 
 def _duplicate_result(
@@ -251,7 +73,7 @@ def _duplicate_result(
     """Re-express a representative's result on a fingerprint-equal trace."""
     witness = None
     if source.witness is not None and source.trace is not None:
-        witness = _decode_witness(trace, _encode_witness(source.trace, source.witness))
+        witness = translate_witness(source.witness, source.trace, trace)
     return VerificationResult(
         verdict=source.verdict,
         witness=witness,
@@ -263,27 +85,25 @@ def _duplicate_result(
     )
 
 
+def _raise_failure(response: Dict[str, object]) -> None:
+    """Re-raise a worker's error response as the error it reports."""
+    kind = getattr(errors, str(response.get("kind")), None)
+    if not (isinstance(kind, type) and issubclass(kind, errors.ReproError)):
+        kind = SolverError
+    raise kind(response.get("error", "verification request failed"))
+
+
 class ParallelVerifier:
-    """Verify batches by sharding distinct questions over worker processes.
+    """Verify batches by dispatching distinct questions to a worker pool.
 
     Parameters
     ----------
     jobs:
         Worker process count; ``None`` means ``os.cpu_count()``.  ``1``
-        solves in-process (still with dedup and caching).
+        solves in-process on an inline pool (still with dedup and caching).
     backend:
         Registry name or :class:`BackendSpec` — **not** a live backend;
         workers must construct their own solver state.
-    portfolio:
-        ``True`` (or ``"backends"``) races ``backends`` (default: dpllt vs
-        smtlib) per trace and keeps the first conclusive verdict;
-        ``"theory"`` races the dpllt engine's ``online`` and ``offline``
-        theory modes instead (:func:`theory_portfolio`).  The winning
-        contender is named on ``VerificationResult.backend`` (e.g.
-        ``dpllt[online]``) and its mode on the result's solver statistics.
-    backends:
-        The portfolio contenders when ``portfolio`` is set (overrides both
-        default lineups).
     cache:
         ``None`` (no cross-batch cache), a :class:`ResultCache`, or
         ``"memory"`` for a fresh in-memory LRU owned by this verifier.
@@ -299,6 +119,10 @@ class ParallelVerifier:
         the cache key so answers from different modes never collide.  In
         deadlock mode, programs whose recording run blocks are normalised
         via their static symbolic trace.
+
+    The verifier owns one :class:`WorkerPool`, created on first use and
+    shut down by :meth:`close` (or on leaving a ``with`` block), so
+    repeated batches reuse its warm sessions and share its poison ledger.
     """
 
     def __init__(
@@ -307,8 +131,6 @@ class ParallelVerifier:
         backend: Union[str, BackendSpec, None] = None,
         options: Optional[EncoderOptions] = None,
         properties: Optional[Sequence[Property]] = None,
-        portfolio: Union[bool, str] = False,
-        backends: Optional[Sequence[BackendSpec]] = None,
         cache: Union[ResultCache, str, None] = None,
         cache_dir: Optional[str] = None,
         seed: int = 0,
@@ -320,33 +142,12 @@ class ParallelVerifier:
         if self.jobs < 1:
             raise SolverError(f"jobs must be >= 1, got {self.jobs}")
         self.mode = mode
-        options, properties = resolve_mode(mode, options, properties)
-        self.options = options
-        self.properties = properties
-        if portfolio not in (False, True, "backends", "theory"):
-            raise SolverError(
-                f"unknown portfolio {portfolio!r}; use True/'backends' or 'theory'"
-            )
-        self.portfolio = portfolio
+        self.options, self.properties = resolve_mode(mode, options, properties)
+        self.spec = BackendSpec.of(backend, max_iterations=max_solver_iterations)
         self.seed = seed
-        self.max_solver_iterations = max_solver_iterations
         #: Per-item wall-clock budget; past it a solve answers
         #: ``UNKNOWN(reason="timeout")`` (never cached) instead of hanging.
         self.timeout_s = timeout_s
-        if portfolio:
-            if backends is not None:
-                lineup = backends
-            elif portfolio == "theory":
-                lineup = theory_portfolio(max_solver_iterations)
-            else:
-                lineup = default_portfolio(max_solver_iterations)
-            self.specs: Tuple[BackendSpec, ...] = tuple(lineup)
-            if not self.specs:
-                raise SolverError("portfolio mode needs at least one backend")
-        else:
-            self.specs = (
-                BackendSpec.of(backend, max_iterations=max_solver_iterations),
-            )
         if isinstance(cache, str):
             if cache != "memory":
                 raise SolverError(f"unknown cache spec {cache!r}; use 'memory'")
@@ -354,33 +155,33 @@ class ParallelVerifier:
         if cache is None and cache_dir is not None:
             cache = ResultCache(directory=cache_dir)
         self.cache = cache
-        #: Cumulative crash-recovery counters across this verifier's
-        #: batches: ``worker_crashes`` (waves that lost a worker),
-        #: ``retried_tasks`` (tasks re-sharded into isolation),
-        #: ``crash_unknowns`` (tasks answered UNKNOWN after crashing
-        #: twice) and ``degraded_serial`` (pools that could not start).
-        self.resilience: Dict[str, int] = {
-            "worker_crashes": 0,
-            "retried_tasks": 0,
-            "crash_unknowns": 0,
-            "degraded_serial": 0,
-        }
-
-    # ------------------------------------------------------------------ keys
+        self._pool: Optional[WorkerPool] = None
 
     @property
-    def backend_key(self) -> str:
-        """The backend component of this verifier's cache keys."""
-        if self.portfolio:
-            return "portfolio(" + "|".join(_spec_label(s) for s in self.specs) + ")"
-        return self.specs[0].name
+    def pool(self) -> WorkerPool:
+        """The verifier's engine; ``jobs=1`` maps to an inline pool."""
+        if self._pool is None:
+            self._pool = WorkerPool(jobs=0 if self.jobs == 1 else self.jobs)
+        return self._pool
+
+    def close(self) -> None:
+        """Shut the pool down (a later batch starts a fresh one)."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+
+    def __enter__(self) -> "ParallelVerifier":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _key_for(self, trace: ExecutionTrace) -> CacheKey:
         return make_cache_key(
             trace,
             properties=self.properties,
             options=self.options,
-            backend=self.backend_key,
+            backend=self.spec.name,
             mode=self.mode,
         )
 
@@ -419,10 +220,8 @@ class ParallelVerifier:
         entries = self._normalise(items)
         results: List[Optional[VerificationResult]] = [None] * len(entries)
         pending: Dict[CacheKey, List[int]] = {}
-        keys: List[Optional[CacheKey]] = []
         for index, (trace, run) in enumerate(entries):
             key = self._key_for(trace)
-            keys.append(key)
             cached = self.cache.lookup(key, trace) if self.cache is not None else None
             if cached is not None:
                 cached.program_run = run
@@ -430,124 +229,40 @@ class ParallelVerifier:
             else:
                 pending.setdefault(key, []).append(index)
 
-        tasks = [
-            _SolveTask(
-                position=indices[0],
-                trace=entries[indices[0]][0],
-                options=self.options,
-                properties=self.properties,
-                specs=self.specs,
-                portfolio=self.portfolio,
-                max_solver_iterations=self.max_solver_iterations,
-                timeout_s=self.timeout_s,
-            )
-            for indices in pending.values()
+        requests = [
+            {
+                "op": "verify",
+                "key": key,
+                "trace": entries[indices[0]][0],
+                "options": self.options,
+                "properties": self.properties,
+                "mode": self.mode,
+                "backend": self.spec,
+            }
+            for key, indices in pending.items()
         ]
-        solved = self._run_tasks(tasks)
+        # A fully cached batch never starts the pool's worker processes.
+        responses = self.pool.map(requests, self.timeout_s) if requests else []
 
-        for key, indices in pending.items():
-            representative = solved[indices[0]]
+        for (key, indices), response in zip(pending.items(), responses):
+            if not response.get("ok"):
+                _raise_failure(response)
+            representative = payload_to_result(response["result"])
+            # The worker answered in this trace's ids; point the result at
+            # the caller's trace object, not the worker's copy.
+            representative.trace = entries[indices[0]][0]
             if self.cache is not None:
                 self.cache.store(key, representative)
             for position, index in enumerate(indices):
                 trace, run = entries[index]
-                if position == 0:
-                    result = representative
-                    # Results solved in a worker come back pickled; point
-                    # them at the caller's trace object, not the copy.
-                    result.trace = trace
-                else:
-                    result = _duplicate_result(representative, trace)
+                result = (
+                    representative
+                    if position == 0
+                    else _duplicate_result(representative, trace)
+                )
                 result.program_run = run
                 results[index] = result
         return [result for result in results if result is not None]
-
-    def _run_tasks(
-        self, tasks: List[_SolveTask]
-    ) -> Dict[int, VerificationResult]:
-        if not tasks:
-            return {}
-        if self.jobs == 1 or len(tasks) == 1:
-            return dict(self._solve_inline(task) for task in tasks)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        workers = min(self.jobs, len(tasks))
-        solved: Dict[int, VerificationResult] = {}
-        crashed = self._run_wave(tasks, workers, context, solved)
-        if crashed:
-            # A hard-dead worker fails *every* unfinished future in the
-            # wave (BrokenProcessPool cannot say which task killed it), so
-            # the affected tasks are re-sharded one at a time into
-            # isolated single-worker pools: the innocent majority
-            # completes, and only a genuinely poisonous task crashes
-            # again — answered with an honest UNKNOWN, never retried
-            # further and never a wrong verdict.
-            self.resilience["worker_crashes"] += 1
-            for task in crashed:
-                self.resilience["retried_tasks"] += 1
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=1, mp_context=context
-                    ) as isolated:
-                        position, result = isolated.submit(
-                            _solve_task, task
-                        ).result()
-                    solved[position] = result
-                except (BrokenProcessPool, OSError):
-                    self.resilience["crash_unknowns"] += 1
-                    solved[task.position] = VerificationResult(
-                        verdict=Verdict.UNKNOWN,
-                        unknown_reason="worker_crash",
-                        trace=task.trace,
-                    )
-        return solved
-
-    def _run_wave(
-        self,
-        tasks: List[_SolveTask],
-        workers: int,
-        context,
-        solved: Dict[int, VerificationResult],
-    ) -> List[_SolveTask]:
-        """One shared-pool pass over ``tasks``; returns the crashed ones.
-
-        If the pool cannot even start (fork failure, resource limits) the
-        whole batch degrades to serial in-process execution instead.
-        """
-        try:
-            executor = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        except OSError:  # pragma: no cover - resource exhaustion
-            self.resilience["degraded_serial"] += 1
-            for task in tasks:
-                position, result = self._solve_inline(task)
-                solved[position] = result
-            return []
-        crashed: List[_SolveTask] = []
-        try:
-            futures = [(executor.submit(_solve_task, task), task) for task in tasks]
-            for future, task in futures:
-                try:
-                    position, result = future.result()
-                    solved[position] = result
-                except (BrokenProcessPool, OSError):
-                    crashed.append(task)
-        finally:
-            executor.shutdown(wait=True)
-        return crashed
-
-    def _solve_inline(self, task: _SolveTask) -> Tuple[int, VerificationResult]:
-        """Solve in this process; injected crashes become honest UNKNOWNs."""
-        try:
-            return _solve_task(task)
-        except faults.FaultInjected:
-            self.resilience["crash_unknowns"] += 1
-            return task.position, VerificationResult(
-                verdict=Verdict.UNKNOWN,
-                unknown_reason="worker_crash",
-                trace=task.trace,
-            )
 
 
 def verify_many_parallel(
@@ -557,8 +272,9 @@ def verify_many_parallel(
 ) -> List[VerificationResult]:
     """One-shot front door over :class:`ParallelVerifier`.
 
-    ``verify_many_parallel(batch, jobs=4)`` shards the batch's distinct
-    questions over four worker processes; every other keyword is forwarded
-    to :class:`ParallelVerifier`.
+    ``verify_many_parallel(batch, jobs=4)`` dispatches the batch's distinct
+    questions to four worker processes and shuts them down afterwards;
+    every other keyword is forwarded to :class:`ParallelVerifier`.
     """
-    return ParallelVerifier(jobs=jobs, **kwargs).verify_many(items)
+    with ParallelVerifier(jobs=jobs, **kwargs) as verifier:
+        return verifier.verify_many(items)

@@ -152,10 +152,6 @@ class VerificationSession:
         results for replay).
     encoder:
         An existing :class:`TraceEncoder` to reuse (overrides ``options``).
-    problem:
-        An already-encoded problem for this trace, to share one encoding
-        between several sessions (e.g. portfolio contenders racing the
-        same trace on different backends).  Skips encoding entirely.
 
     The constructor encodes the problem exactly once; no public method ever
     re-encodes.  The backend is created lazily on the first query so that
@@ -175,19 +171,14 @@ class VerificationSession:
         idl_propagation: Optional[bool] = None,
         program_run: Optional[ProgramRun] = None,
         encoder: Optional[TraceEncoder] = None,
-        problem: Optional[EncodedProblem] = None,
     ) -> None:
         self.trace = trace
         self.program_run = program_run
         self._encoder = encoder if encoder is not None else TraceEncoder(options)
         self._properties = properties
-        if problem is not None:
-            self._problem = problem
-            self.encode_seconds = 0.0
-        else:
-            start = time.perf_counter()
-            self._problem = self._encoder.encode(trace, properties=properties)
-            self.encode_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        self._problem = self._encoder.encode(trace, properties=properties)
+        self.encode_seconds = time.perf_counter() - start
         #: How many times the trace has been encoded.  Stays 1 for the
         #: session's whole lifetime — that is the point of the API.
         self.encode_count = 1
@@ -629,7 +620,6 @@ def verify_many(
     jobs: int = 1,
     cache=None,
     cache_dir: Optional[str] = None,
-    portfolio: Union[bool, str] = False,
     mode: str = "safety",
     theory_mode: Optional[str] = None,
     reduce_db: Optional[bool] = None,
@@ -662,13 +652,12 @@ def verify_many(
     cannot finish in time comes back ``UNKNOWN`` with
     ``unknown_reason="timeout"`` instead of stalling the whole batch.
 
-    ``jobs``, ``cache``/``cache_dir`` and ``portfolio`` hand the batch to
-    :class:`repro.verification.parallel.ParallelVerifier` — sharding over
-    worker processes, fingerprint-keyed result caching, and backend racing;
-    ``portfolio="theory"`` races the dpllt engine's online and offline
-    theory modes against each other instead of distinct backends; see that
-    module for semantics.  The default (``jobs=1``, no cache, no
-    portfolio) keeps the simple one-session-per-item serial path below.
+    ``jobs`` and ``cache``/``cache_dir`` hand the batch to
+    :class:`repro.verification.parallel.ParallelVerifier` — fingerprint
+    dedup, result caching and dispatch on the service's
+    :class:`~repro.service.pool.WorkerPool` (``jobs=1`` solves inline); see
+    that module for semantics.  The default (``jobs=1``, no cache) keeps
+    the simple one-session-per-item serial path below.
     """
     items = list(items)
     solver_knobs = {
@@ -680,7 +669,7 @@ def verify_many(
         )
         if value is not None
     }
-    if jobs != 1 or cache is not None or cache_dir is not None or portfolio:
+    if jobs != 1 or cache is not None or cache_dir is not None:
         from repro.smt.backend import BackendSpec
         from repro.verification.parallel import ParallelVerifier
 
@@ -690,35 +679,23 @@ def verify_many(
                 "backend instance: worker processes build their own solvers"
             )
         if theory_mode is not None:
-            if portfolio:
-                raise SolverError(
-                    "theory_mode cannot be combined with portfolio: the "
-                    "portfolio races its own fixed backend lineup; drop one "
-                    "of the two options"
-                )
             # Fold the mode into the picklable spec so workers honour it.
             backend = BackendSpec.of(backend, theory_mode=theory_mode)
         if solver_knobs:
-            if portfolio:
-                raise SolverError(
-                    "solver knobs (reduce_db/theory_bump/idl_propagation) "
-                    "cannot be combined with portfolio; pass explicit "
-                    "BackendSpecs via ParallelVerifier(backends=...) instead"
-                )
             backend = BackendSpec.of(backend, **solver_knobs)
-        return ParallelVerifier(
+        with ParallelVerifier(
             jobs=jobs,
             backend=backend,
             options=options,
             properties=properties,
-            portfolio=portfolio,
             cache=cache,
             cache_dir=cache_dir,
             seed=seed,
             max_solver_iterations=max_solver_iterations,
             mode=mode,
             timeout_s=timeout_s,
-        ).verify_many(items)
+        ) as verifier:
+            return verifier.verify_many(items)
     if backend is not None and not isinstance(backend, str) and len(items) > 1:
         raise SolverError(
             "verify_many needs a backend registry name, not a live backend "

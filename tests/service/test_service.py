@@ -12,7 +12,12 @@ import pytest
 
 from repro.service import protocol
 from repro.service.client import ServiceClient, parse_address
-from repro.service.pool import SessionPool, WorkerPool
+from repro.service.pool import (
+    CRASH_LEDGER_SIZE,
+    DEGRADATION_LOG_SIZE,
+    SessionPool,
+    WorkerPool,
+)
 from repro.service.server import VerificationService, run_stdio
 from repro.utils.errors import ServiceError
 from repro.verification.result import Verdict
@@ -374,3 +379,75 @@ class TestWorkerPoolRouting:
         pool.close()
         with pytest.raises(ServiceError):
             pool.submit({"op": "verify", "workload": "figure1"})
+
+
+class TestBoundedReplies:
+    """A long-lived daemon keeps its replies and its ledgers bounded."""
+
+    def test_oversized_reply_is_an_error_and_the_connection_survives(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+        harness = _DaemonHarness(jobs=0)
+        try:
+            with harness.client() as client:
+                with pytest.raises(ServiceError, match="reply too large"):
+                    client.verify_batch([{"workload": "figure1"}] * 16)
+                assert client.verify("figure1").verdict is Verdict.VIOLATION
+                assert client.retried_calls == 0
+                assert client.reconnects == 0  # one connection throughout
+        finally:
+            harness.stop()
+
+    def test_oversized_reply_over_stdio_keeps_serving(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+        lines = [
+            json.dumps(
+                _request(
+                    "verify_batch", {"queries": [{"workload": "figure1"}] * 16}, 1
+                )
+            ),
+            json.dumps(_request("verify", {"workload": "figure1"}, 2)),
+        ]
+        stdout = io.StringIO()
+        assert run_stdio(
+            jobs=0, stdin=io.StringIO("\n".join(lines) + "\n"), stdout=stdout
+        ) == 0
+        first, second = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert first["id"] == 1
+        assert first["error"]["code"] == protocol.INVALID_PARAMS
+        assert second["id"] == 2
+        assert second["result"]["result"]["verdict"] == "violation"
+
+    def test_batch_query_count_is_capped(self, service):
+        queries = [{"workload": "figure1"}] * (protocol.MAX_BATCH_QUERIES + 1)
+        response = service.handle_json(_request("verify_batch", {"queries": queries}))
+        assert response["error"]["code"] == protocol.INVALID_PARAMS
+        assert "at most" in response["error"]["message"]
+
+    def test_degradation_flood_keeps_stats_reply_in_one_frame(self, service):
+        event = {
+            "layer": "backend",
+            "from": "smtlib-pipe",
+            "to": "dpllt",
+            "reason": "x" * 200,
+            "workload": "figure1",
+        }
+        for _ in range(10_000):
+            service.pool._absorb({"degradations": [dict(event)]})
+        response = service.handle_json(_request("stats"))
+        assert len(protocol.encode_frame(response)) < protocol.MAX_FRAME_BYTES
+        stats = response["result"]
+        assert stats["degradations_total"] == 10_000
+        assert len(stats["degradations"]) == DEGRADATION_LOG_SIZE
+
+    def test_crash_ledger_is_bounded(self):
+        pool = WorkerPool(jobs=0)
+        try:
+            for index in range(CRASH_LEDGER_SIZE + 10):
+                pool._count_crash(f"spec-{index}")
+            assert len(pool._crash_counts) == CRASH_LEDGER_SIZE
+            assert "spec-0" not in pool._crash_counts  # oldest dropped first
+            assert pool._count_crash(f"spec-{CRASH_LEDGER_SIZE + 9}") == 2
+        finally:
+            pool.close()

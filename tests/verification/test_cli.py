@@ -85,26 +85,6 @@ class TestBatchMode:
         captured = capsys.readouterr().out
         assert "2 traces, 0 solved" in captured
 
-    def test_portfolio_flag_without_external_solver(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_SMT_SOLVER", raising=False)
-        code = main(["--workload", "pipeline", "--portfolio"])
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "verdict=safe" in captured
-
-    def test_portfolio_theory_reports_winning_mode(self, capsys):
-        code = main(["--workload", "pipeline", "--portfolio-theory"])
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "dpllt[online]" in captured or "dpllt[offline]" in captured
-
-    def test_portfolio_and_portfolio_theory_conflict(self, capsys):
-        code = main(
-            ["--workload", "pipeline", "--portfolio", "--portfolio-theory"]
-        )
-        assert code == 2
-        assert "pick one" in capsys.readouterr().err
-
     def test_solver_knob_flags(self, capsys):
         code = main(
             [
@@ -121,13 +101,6 @@ class TestBatchMode:
         assert code == 1  # racy fan-in assertion is violated
         assert "reduce_db_rounds = 0" in captured
         assert "theory_propagations_idl = 0" in captured
-
-    def test_solver_knobs_conflict_with_portfolio(self, capsys):
-        code = main(
-            ["--workload", "pipeline", "--portfolio-theory", "--no-reduce-db"]
-        )
-        assert code == 2
-        assert "cannot be combined with a portfolio" in capsys.readouterr().err
 
     def test_solver_knobs_travel_into_batch_mode(self, capsys):
         code = main(

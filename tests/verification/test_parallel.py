@@ -1,26 +1,28 @@
-"""Tests for the parallel batch-verification subsystem: process sharding,
-fingerprint dedup, the result cache (memory + disk), portfolio racing, and
-worker-safe backend specs."""
+"""Tests for the batch-verification lane: dispatch on the worker pool,
+fingerprint dedup, the result cache (memory + disk), warm sessions across
+batches, and worker-safe backend specs."""
 
 import os
-import stat
-import sys
 
 import pytest
 
 from repro.encoding.encoder import EncoderOptions
+from repro.encoding.properties import MatchProperty
 from repro.program import run_program
+from repro.service.pool import WorkerPool
 from repro.smt.backend import BackendSpec, DpllTBackend
 from repro.trace import trace_fingerprint
-from repro.utils.errors import EncodingError, SolverError
+from repro.utils.errors import BackendUnavailableError, EncodingError, SolverError
 from repro.verification import (
     ParallelVerifier,
     ResultCache,
     Verdict,
+    VerificationSession,
     make_cache_key,
     verify_many,
     verify_many_parallel,
 )
+from repro.verification.cache import translate_witness
 from repro.workloads import (
     figure1_program,
     pipeline,
@@ -152,6 +154,26 @@ class TestParallelVerifyMany:
         with pytest.raises(SolverError):
             verify_many([pipeline(2)], jobs=2, backend=DpllTBackend())
 
+    def test_unknown_cache_spec_rejected(self):
+        with pytest.raises(SolverError):
+            ParallelVerifier(cache="redis")
+
+    def test_solver_knobs_travel_through_verify_many(self):
+        """reduce_db/theory_bump/idl_propagation reach the worker backends
+        (serial and spec-folded lanes) without changing verdicts."""
+        traces, expected = _mixed_batch(copies=1)
+        tuned = verify_many(
+            traces, reduce_db=False, theory_bump=0.0, idl_propagation=False
+        )
+        assert [r.verdict for r in tuned] == expected
+        sharded = verify_many(traces, jobs=1, cache="memory", reduce_db=False)
+        assert [r.verdict for r in sharded] == expected
+
+    def test_worker_errors_surface_as_their_own_type(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SMT_SOLVER", raising=False)
+        with pytest.raises(BackendUnavailableError):
+            verify_many_parallel([pipeline(2)], jobs=2, backend="smtlib")
+
 
 class TestResultCache:
     def test_memory_roundtrip_translates_witness(self):
@@ -276,118 +298,89 @@ class TestResultCache:
             ResultCache(maxsize=0)
 
 
-def _stub_solver(tmp_path, body: str) -> str:
-    script = tmp_path / "portfolio-stub"
-    script.write_text(f"#!{sys.executable}\n{body}\n")
-    script.chmod(script.stat().st_mode | stat.S_IXUSR)
-    return str(script)
+class TestWarmBatchPath:
+    """A verifier's pool outlives its batches; warm sessions must only ever
+    answer the exact question they were built for."""
 
-
-class TestPortfolio:
-    def test_portfolio_without_external_solver_degrades(self, monkeypatch):
-        """With smtlib unavailable the portfolio is dpllt alone."""
-        monkeypatch.delenv("REPRO_SMT_SOLVER", raising=False)
+    def test_reused_verifier_hits_warm_sessions(self):
         traces, expected = _mixed_batch(copies=1)
-        results = verify_many_parallel(traces, jobs=1, portfolio=True)
-        assert [r.verdict for r in results] == expected
-        assert all(r.backend == "dpllt" for r in results)
+        with ParallelVerifier(jobs=2) as verifier:
+            first = verifier.verify_many(traces)
+            assert verifier.pool.statistics()["pool"]["hits"] == 0
+            second = verifier.verify_many(traces)
+            assert verifier.pool.statistics()["pool"]["hits"] == len(traces)
+        assert [r.verdict for r in first] == expected
+        assert [r.verdict for r in second] == expected
+        assert verifier._pool is None  # closed on leaving the block
 
-    def test_portfolio_backend_key_separates_cache_entries(self):
-        trace = run_program(pipeline(2), seed=0).trace
-        verifier = ParallelVerifier(jobs=1, portfolio=True)
-        assert verifier.backend_key.startswith("portfolio(")
-        plain = ParallelVerifier(jobs=1)
-        assert plain._key_for(trace) != verifier._key_for(trace)
-
-    def test_portfolio_races_stub_external_solver(self, tmp_path, monkeypatch):
-        """A conclusive answer from either contender wins; a slow stub never
-        blocks the dpllt engine's verdict."""
-        slow = _stub_solver(
-            tmp_path, "import time\ntime.sleep(8)\nprint('unknown')"
-        )
-        monkeypatch.setenv("REPRO_SMT_SOLVER", slow)
-        trace = run_program(pipeline(2), seed=0).trace
-        import time
-
-        start = time.perf_counter()
-        results = verify_many_parallel([trace], jobs=1, portfolio=True)
-        # The dpllt verdict must come back without joining the slow loser.
-        assert time.perf_counter() - start < 6
-        assert results[0].verdict is Verdict.SAFE
-        assert results[0].backend == "dpllt"
-
-    def test_portfolio_survives_garbage_external_solver(
-        self, tmp_path, monkeypatch
-    ):
-        noisy = _stub_solver(tmp_path, "print('flagrant nonsense')")
-        monkeypatch.setenv("REPRO_SMT_SOLVER", noisy)
-        trace = run_program(pipeline(2), seed=0).trace
-        results = verify_many_parallel([trace], jobs=1, portfolio=True)
-        assert results[0].verdict is Verdict.SAFE
-        assert results[0].backend == "dpllt"
-
-    def test_portfolio_with_no_backends_rejected(self):
-        with pytest.raises(SolverError):
-            ParallelVerifier(portfolio=True, backends=[])
-
-    def test_unknown_cache_spec_rejected(self):
-        with pytest.raises(SolverError):
-            ParallelVerifier(cache="redis")
-
-
-class TestTheoryPortfolio:
-    def test_theory_portfolio_races_online_vs_offline(self):
-        """portfolio='theory' answers every trace correctly and names the
-        winning contender's mode on the result and in its statistics."""
-        traces, expected = _mixed_batch(copies=1)
-        results = verify_many_parallel(traces, jobs=1, portfolio="theory")
-        assert [r.verdict for r in results] == expected
-        for result in results:
-            assert result.backend in ("dpllt[online]", "dpllt[offline]")
-            stats = result.solver_statistics or {}
-            if stats:  # the winner reports which theory mode it ran
-                assert stats.get("theory_mode") in ("online", "offline")
-
-    def test_theory_portfolio_lineup_and_cache_key(self):
-        from repro.verification.parallel import theory_portfolio
-
-        specs = theory_portfolio(max_solver_iterations=9)
-        assert [dict(s.kwargs)["theory_mode"] for s in specs] == [
-            "online",
-            "offline",
+    def test_equal_fingerprint_different_properties_never_share(self):
+        """Two questions on one trace that differ only in their explicit
+        properties, sent to the same worker, each get their own verdict."""
+        trace = run_program(racy_fanin(2), seed=0).trace
+        recv_id = trace.receive_operations()[0].recv_id
+        send_ids = sorted(event.send_id for event in trace.sends())
+        questions = [
+            [MatchProperty(recv_id, send_ids)],  # always holds
+            [MatchProperty(recv_id, send_ids[:1])],  # the race breaks it
         ]
-        assert all(s.name == "dpllt" for s in specs)
-        verifier = ParallelVerifier(jobs=1, portfolio="theory")
-        assert (
-            verifier.backend_key == "portfolio(dpllt[online]|dpllt[offline])"
+        expected = [
+            VerificationSession(trace, properties=props).verdict().verdict
+            for props in questions
+        ]
+        assert expected == [Verdict.SAFE, Verdict.VIOLATION]
+        pool = WorkerPool(jobs=1)
+        try:
+            answers = [
+                pool.submit(_question(trace, properties=props))
+                for props in questions * 2
+            ]
+            assert [Verdict(a["result"]["verdict"]) for a in answers] == expected * 2
+            assert [a["pool_hit"] for a in answers] == [False, False, True, True]
+        finally:
+            pool.close()
+
+    def test_renumbered_trace_gets_witness_in_its_own_ids(self):
+        program = racy_fanin(2, assert_first_from_sender0=True)
+        first = run_program(program, seed=0).trace
+        second = next(
+            trace
+            for seed in range(1, 20)
+            for trace in [run_program(program, seed=seed).trace]
+            if _send_bindings(trace) != _send_bindings(first)
         )
-        backends = ParallelVerifier(jobs=1, portfolio=True)
-        assert verifier.backend_key != backends.backend_key
+        assert trace_fingerprint(first) == trace_fingerprint(second)
+        with ParallelVerifier(jobs=1) as verifier:
+            (cold,) = verifier.verify_many([first])
+            (warm,) = verifier.verify_many([second])
+            assert verifier.pool.statistics()["pool"]["hits"] == 1
+        assert warm.verdict is Verdict.VIOLATION and not warm.from_cache
+        recv_ids = {op.recv_id for op in second.receive_operations()}
+        send_ids = {event.send_id for event in second.sends()}
+        assert set(warm.witness.matching) <= recv_ids
+        assert set(warm.witness.matching.values()) <= send_ids
+        # The same logical pairing, renamed onto the second recording.
+        assert warm.witness.matching == translate_witness(
+            cold.witness, first, second
+        ).matching
 
-    def test_theory_portfolio_matches_serial_verdicts(self):
-        traces, _ = _mixed_batch(copies=1)
-        serial = verify_many(traces)
-        raced = verify_many(traces, portfolio="theory")
-        assert [r.verdict for r in serial] == [r.verdict for r in raced]
 
-    def test_unknown_portfolio_value_rejected(self):
-        with pytest.raises(SolverError):
-            ParallelVerifier(portfolio="quantum")
+def _send_bindings(trace):
+    return {
+        event.send_id: (event.thread, event.thread_index) for event in trace.sends()
+    }
 
-    def test_theory_mode_conflicts_with_theory_portfolio(self):
-        traces, _ = _mixed_batch(copies=1)
-        with pytest.raises(SolverError):
-            verify_many(traces, portfolio="theory", theory_mode="online")
 
-    def test_solver_knobs_travel_through_verify_many(self):
-        """reduce_db/theory_bump/idl_propagation reach the worker backends
-        (serial and spec-folded lanes) without changing verdicts."""
-        traces, expected = _mixed_batch(copies=1)
-        tuned = verify_many(
-            traces, reduce_db=False, theory_bump=0.0, idl_propagation=False
-        )
-        assert [r.verdict for r in tuned] == expected
-        sharded = verify_many(traces, jobs=1, cache="memory", reduce_db=False)
-        assert [r.verdict for r in sharded] == expected
-        with pytest.raises(SolverError):
-            verify_many(traces, portfolio=True, reduce_db=False)
+def _question(trace, properties=None, mode="safety"):
+    """A batch request as ParallelVerifier builds it."""
+    spec = BackendSpec.of(None, max_iterations=200_000)
+    return {
+        "op": "verify",
+        "key": make_cache_key(
+            trace, properties=properties, backend=spec.name, mode=mode
+        ),
+        "trace": trace,
+        "options": None,
+        "properties": properties,
+        "mode": mode,
+        "backend": spec,
+    }
