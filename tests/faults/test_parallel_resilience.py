@@ -9,6 +9,7 @@ import sys
 
 from repro import faults
 from repro.verification import ParallelVerifier, Verdict
+from repro.verification.cli import main
 from repro.workloads import figure1_program, pipeline, racy_fanin, scatter_gather
 
 
@@ -89,3 +90,16 @@ class TestInlineLane:
         for result, clean in zip(results, expected):
             if result.verdict is not Verdict.UNKNOWN:
                 assert result.verdict is clean
+
+
+class TestCliBatchLane:
+    def test_poison_workload_answers_unknown_for_every_repeat(self, capsys):
+        # The CLI batch lane runs on the same pool: figure1 kills every
+        # worker that touches it, so all four repeats answer an honest
+        # UNKNOWN (no verdict claimed) and the run exits 0, not crashed.
+        faults.install("pool.worker.request:exit:match=figure1,max=0")
+        code = main(["--workload", "figure1", "--repeat", "4", "--jobs", "2"])
+        captured = capsys.readouterr().out
+        assert code == 0
+        assert captured.count("reason=worker_crash") == 4
+        assert "verdict=violation" not in captured

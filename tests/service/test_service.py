@@ -441,6 +441,18 @@ class TestBoundedReplies:
         assert stats["degradations_total"] == 10_000
         assert len(stats["degradations"]) == DEGRADATION_LOG_SIZE
 
+    def test_degradation_log_keeps_the_newest_events(self, service):
+        for index in range(DEGRADATION_LOG_SIZE + 5):
+            service.pool._absorb(
+                {"degradations": [{"layer": "backend", "reason": f"event-{index}"}]}
+            )
+        stats = service.handle_json(_request("stats"))["result"]
+        reasons = [event["reason"] for event in stats["degradations"]]
+        assert reasons == [
+            f"event-{index}" for index in range(5, DEGRADATION_LOG_SIZE + 5)
+        ]
+        assert stats["degradations_total"] == DEGRADATION_LOG_SIZE + 5
+
     def test_crash_ledger_is_bounded(self):
         pool = WorkerPool(jobs=0)
         try:

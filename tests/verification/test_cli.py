@@ -16,6 +16,13 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--workload", "nope"])
 
+    @pytest.mark.parametrize("flag", ["--portfolio", "--portfolio-theory"])
+    def test_removed_portfolio_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--workload", "pipeline", flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestMain:
     def test_figure1_violation_exit_code(self, capsys):

@@ -22,7 +22,9 @@ from repro.verification import (
     verify_many,
     verify_many_parallel,
 )
+from repro.verification import parallel as parallel_module
 from repro.verification.cache import translate_witness
+from repro.verification.session import resolve_mode
 from repro.workloads import (
     figure1_program,
     pipeline,
@@ -157,6 +159,37 @@ class TestParallelVerifyMany:
     def test_unknown_cache_spec_rejected(self):
         with pytest.raises(SolverError):
             ParallelVerifier(cache="redis")
+
+    def test_jobs_one_maps_to_the_inline_pool(self):
+        with ParallelVerifier(jobs=1) as inline, ParallelVerifier(jobs=2) as forked:
+            assert inline.pool.jobs == 0
+            assert forked.pool.jobs == 2
+
+    def test_one_shot_front_door_closes_its_pool(self, monkeypatch):
+        created = []
+
+        class RecordingPool(WorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(parallel_module, "WorkerPool", RecordingPool)
+        traces, expected = _mixed_batch(copies=1)
+        results = verify_many_parallel(traces, jobs=2)
+        assert [r.verdict for r in results] == expected
+        assert len(created) == 1
+        assert created[0]._closed and created[0]._workers == []
+
+    def test_each_distinct_question_is_dispatched_once(self):
+        traces, expected = _mixed_batch(copies=3)
+        with ParallelVerifier(jobs=1) as verifier:
+            distinct = {verifier._key_for(trace) for trace in traces}
+            results = verifier.verify_many(traces)
+            pool_stats = verifier.pool.statistics()["pool"]
+        assert [r.verdict for r in results] == expected
+        assert pool_stats["misses"] == len(distinct) < len(traces)
+        assert pool_stats["hits"] == 0
+        assert sum(1 for r in results if not r.from_cache) == len(distinct)
 
     def test_solver_knobs_travel_through_verify_many(self):
         """reduce_db/theory_bump/idl_propagation reach the worker backends
@@ -362,6 +395,50 @@ class TestWarmBatchPath:
         assert warm.witness.matching == translate_witness(
             cold.witness, first, second
         ).matching
+
+    def test_mode_keeps_warm_sessions_apart(self):
+        """The same trace asked under two modes, on one worker, never has
+        one mode's warm session answer the other."""
+        trace = run_program(racy_fanin(2, assert_first_from_sender0=True), seed=0).trace
+        _, orphan_properties = resolve_mode("orphan", None, None)
+        questions = [
+            _question(trace),
+            _question(trace, properties=orphan_properties, mode="orphan"),
+        ]
+        expected = [Verdict.VIOLATION, Verdict.SAFE]
+        pool = WorkerPool(jobs=1)
+        try:
+            answers = [pool.submit(question) for question in questions * 2]
+            assert [Verdict(a["result"]["verdict"]) for a in answers] == expected * 2
+            assert [a["pool_hit"] for a in answers] == [False, False, True, True]
+        finally:
+            pool.close()
+
+    def test_fully_cached_batch_never_starts_the_pool(self):
+        traces, expected = _mixed_batch(copies=1)
+        cache = ResultCache()
+        verify_many_parallel(traces, jobs=2, cache=cache)
+        with ParallelVerifier(jobs=2, cache=cache) as verifier:
+            results = verifier.verify_many(traces)
+            assert verifier._pool is None
+        assert [r.verdict for r in results] == expected
+        assert all(r.from_cache for r in results)
+
+    def test_closed_verifier_starts_a_fresh_pool(self):
+        traces, expected = _mixed_batch(copies=1)
+        verifier = ParallelVerifier(jobs=1)
+        try:
+            verifier.verify_many(traces)
+            first_pool = verifier.pool
+            verifier.close()
+            assert first_pool._closed
+            again = verifier.verify_many(traces)
+            assert verifier.pool is not first_pool
+            # A fresh pool has no warm sessions: every question is cold again.
+            assert verifier.pool.statistics()["pool"]["hits"] == 0
+        finally:
+            verifier.close()
+        assert [r.verdict for r in again] == expected
 
 
 def _send_bindings(trace):
