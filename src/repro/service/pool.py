@@ -31,7 +31,10 @@ run on it.  Requests come in two shapes:
 * **Batch questions** (in-process callers): a recorded ``trace`` with its
   encoder ``options``, ``properties``, ``mode``, ``backend``
   (:class:`~repro.smt.backend.BackendSpec`) and cache ``key``.  The worker
-  pipe pickles requests, so the trace travels as is.
+  pipe pickles requests, so the trace travels as is, and the answer comes
+  back as the :class:`~repro.verification.result.VerificationResult`
+  itself (encoded problem, full witness, all solver statistics) rather
+  than its JSON payload.
 """
 
 from __future__ import annotations
@@ -365,15 +368,21 @@ class _Executor:
             # the mode, and the caller owns the cache and the backend choice
             # (no ladder: an unavailable backend is the caller's error).
             session, pool_hit, key = self._question_session(request)
-            result = session.verdict(timeout_s=timeout_s)
+            # A copy: the session memoizes its verdict object.  The caller
+            # reattaches its own trace, so this one does not travel back.
+            result = replace(
+                session.verdict(timeout_s=timeout_s), trace=None, program_run=None
+            )
             trace = request["trace"]
-            if result.witness is not None and session.trace is not trace:
+            if session.trace is not trace:
                 # A warm session built from another recording of the same
-                # question: re-express the witness in this trace's ids.
-                result = replace(
-                    result,
-                    witness=translate_witness(result.witness, session.trace, trace),
-                )
+                # question: re-express the witness in this trace's ids.  Its
+                # encoded problem names the other recording's events, so it
+                # stays behind, as it does for cache hits.
+                witness = result.witness
+                if witness is not None:
+                    witness = translate_witness(witness, session.trace, trace)
+                result = replace(result, witness=witness, problem=None)
         else:
             session, pool_hit, key = self._resolve_session(request)
             if self.cache is not None:
@@ -393,7 +402,7 @@ class _Executor:
                 if cached is not None:
                     return {
                         "ok": True,
-                        "result": result_to_payload(cached),
+                        "result": _reply_result(cached, request),
                         "pool_hit": pool_hit,
                         "fingerprint": key.fingerprint,
                     }
@@ -413,7 +422,7 @@ class _Executor:
             self.cache.store(cache_key, result)
         response = {
             "ok": True,
-            "result": result_to_payload(result),
+            "result": _reply_result(result, request),
             "pool_hit": pool_hit,
             "fingerprint": key.fingerprint,
         }
@@ -495,11 +504,27 @@ def _request_tag(request: Dict[str, object]) -> Optional[str]:
     return request.get("workload") if trace is None else trace.name
 
 
-def _timeout_response(timeout_s: float) -> Dict[str, object]:
-    """The canonical answer for a request whose worker had to be killed."""
-    result = VerificationResult(verdict=Verdict.UNKNOWN, unknown_reason="timeout")
-    result.solve_seconds = timeout_s
-    return {"ok": True, "result": result_to_payload(result), "pool_hit": False}
+def _reply_result(result: VerificationResult, request: Dict[str, object]) -> object:
+    """A batch question's answer is the result object (the pipe pickles
+    it); a workload spec's is its JSON payload, bound for the wire."""
+    return result if "trace" in request else result_to_payload(result)
+
+
+def _unknown_reason(response: Dict[str, object]) -> Optional[str]:
+    result = response.get("result")
+    if isinstance(result, VerificationResult):
+        return result.unknown_reason
+    return (result or {}).get("unknown_reason")
+
+
+def _unknown_response(
+    reason: str, request: Dict[str, object], solve_seconds: float = 0.0
+) -> Dict[str, object]:
+    """An honest UNKNOWN for a request the pool could not get answered."""
+    result = VerificationResult(
+        verdict=Verdict.UNKNOWN, unknown_reason=reason, solve_seconds=solve_seconds
+    )
+    return {"ok": True, "result": _reply_result(result, request), "pool_hit": False}
 
 
 def _worker_main(conn, pool_size: int, cache_dir: Optional[str]) -> None:
@@ -619,7 +644,8 @@ class _PooledWorker:
                 # killing the process.  Its warm sessions die with it.
                 self.kills += 1
                 self._respawn(generation)
-                return _timeout_response(timeout_s)
+                # The canonical answer for a request whose worker was killed.
+                return _unknown_response("timeout", request, timeout_s)
 
     def close(self, graceful: bool = True) -> None:
         try:
@@ -728,12 +754,9 @@ class WorkerPool:
         return crashed
 
     @staticmethod
-    def _crash_response() -> Dict[str, object]:
+    def _crash_response(request: Dict[str, object]) -> Dict[str, object]:
         """The honest answer for a poison query: UNKNOWN, never a retry loop."""
-        result = VerificationResult(
-            verdict=Verdict.UNKNOWN, unknown_reason="worker_crash"
-        )
-        return {"ok": True, "result": result_to_payload(result), "pool_hit": False}
+        return _unknown_response("worker_crash", request)
 
     def _dispatch(
         self,
@@ -755,7 +778,7 @@ class WorkerPool:
             with self._ledger_lock:
                 crashed = self._crash_counts.get(spec_key, 0)
             if crashed >= POISON_CRASH_LIMIT:
-                return self._crash_response()
+                return self._crash_response(request)
         with worker.lock:
             for attempt in (0, 1):
                 try:
@@ -764,7 +787,7 @@ class WorkerPool:
                     if self._count_crash(spec_key) >= POISON_CRASH_LIMIT:
                         with self._ledger_lock:
                             self.poisoned += 1
-                        return self._crash_response()
+                        return self._crash_response(request)
                     if attempt == 1:
                         raise  # the _WorkerDied maps to WORKER_CRASH on the wire
                     with self._ledger_lock:
@@ -783,8 +806,13 @@ class WorkerPool:
                     "pool.worker.request", tag=str(_request_tag(request))
                 )
                 if rule is not None and rule.kind in ("crash", "exit"):
+                    # No process to lose and respawn: a verify answers an
+                    # honest UNKNOWN, any other op fails as a dead worker
+                    # would (WORKER_CRASH on the wire).
                     self._count_crash(None)
-                    return self._crash_response()
+                    if request.get("op", "verify") == "verify":
+                        return self._crash_response(request)
+                    raise _WorkerDied("inline verification worker crashed")
                 if rule is not None:
                     time.sleep(rule.sleep_s)
             with self._inline_lock:
@@ -802,10 +830,7 @@ class WorkerPool:
     def _absorb(self, response: Dict[str, object]) -> None:
         """Move a response's ledger deltas into the durable parent ledgers."""
         events = response.pop("degradations", None)
-        timed_out = (
-            response.get("ok")
-            and (response.get("result") or {}).get("unknown_reason") == "timeout"
-        )
+        timed_out = response.get("ok") and _unknown_reason(response) == "timeout"
         with self._ledger_lock:
             if events:
                 self.degradation_events.extend(events)
@@ -818,29 +843,53 @@ class WorkerPool:
     ) -> List[Dict[str, object]]:
         """Solve a batch of requests; responses come back in input order.
 
-        Requests are grouped by the worker they route to and each group is
-        drained on its own thread, so every worker stays busy.  A request
-        whose worker died under it twice answers
-        ``UNKNOWN(reason="worker_crash")``: a batch has no client to resend
-        it.
+        Each request is queued on its affinity worker, so a repeated batch
+        finds its warm sessions; a worker whose queue runs dry takes the
+        last request from the longest other queue, so no worker idles while
+        another has a backlog.  A request whose worker died under it twice
+        answers ``UNKNOWN(reason="worker_crash")``: a batch has no client
+        to resend it.
         """
+        if self._closed:
+            raise ServiceError("worker pool is closed")
         responses: List[Dict[str, object]] = [{}] * len(requests)
 
-        def drain(indices: List[int]) -> None:
-            for index in indices:
-                try:
-                    responses[index] = self.submit(requests[index], timeout_s)
-                except _WorkerDied:
-                    responses[index] = self._crash_response()
+        def answer(worker: Optional[_PooledWorker], index: int) -> None:
+            request = requests[index]
+            try:
+                if worker is None:
+                    response = self.submit(request, timeout_s)
+                else:
+                    response = self._dispatch(worker, request, timeout_s)
+                    self._absorb(response)
+            except _WorkerDied:
+                response = self._crash_response(request)
+            responses[index] = response
 
         if self._inline is not None or len(requests) <= 1:
-            drain(list(range(len(requests))))
+            for index in range(len(requests)):
+                answer(None, index)
             return responses
-        lanes: Dict[int, List[int]] = {}
+        queues: Dict[int, Deque[int]] = {id(w): deque() for w in self._workers}
         for index, request in enumerate(requests):
-            lanes.setdefault(id(self._route(request)), []).append(index)
-        with ThreadPoolExecutor(max_workers=len(lanes)) as threads:
-            for lane in [threads.submit(drain, group) for group in lanes.values()]:
+            queues[id(self._route(request))].append(index)
+        queues_lock = threading.Lock()
+
+        def drain(worker: _PooledWorker) -> None:
+            while True:
+                with queues_lock:
+                    own = queues[id(worker)]
+                    if own:
+                        index = own.popleft()
+                    else:
+                        backlog = max(queues.values(), key=len)
+                        if not backlog:
+                            return
+                        index = backlog.pop()
+                answer(worker, index)
+
+        with ThreadPoolExecutor(max_workers=len(self._workers)) as threads:
+            for lane in [threads.submit(drain, w) for w in self._workers]:
                 lane.result()
         return responses
 

@@ -14,8 +14,12 @@ batch takes one path:
 3. **Dedup** — the misses collapse onto distinct keys; each distinct
    question is solved once.
 4. **Dispatch** — every distinct question goes to the pool as one request
-   carrying its recorded trace, routed by key affinity, so a repeat lands
-   on the worker that holds its warm session.
+   carrying its recorded trace.  A lone question is solved inline; a batch
+   starts at most one worker per question.  Each question is queued on
+   its affinity worker, so a repeat finds its warm session, and an idle
+   worker takes questions off another's backlog.  The worker answers with
+   the full result (encoded problem, witness with event order and clocks,
+   solver statistics).
 5. **Recovery** — the pool's: a worker that dies mid-request is respawned
    and the request re-dispatched once; a question that keeps killing
    workers answers ``UNKNOWN(reason="worker_crash")``; with worker
@@ -50,7 +54,6 @@ from repro.program.ast import Program
 from repro.program.interpreter import ProgramRun, run_program
 from repro.program.statictrace import static_trace
 from repro.service.pool import WorkerPool
-from repro.service.protocol import payload_to_result
 from repro.smt.backend import BackendSpec
 from repro.trace.trace import ExecutionTrace
 from repro.utils import errors
@@ -119,10 +122,21 @@ class ParallelVerifier:
         the cache key so answers from different modes never collide.  In
         deadlock mode, programs whose recording run blocks are normalised
         via their static symbolic trace.
+    timeout_s:
+        Per-question budget.  In every lane it is the in-solver wall-clock
+        deadline: a check past it answers ``UNKNOWN(reason="timeout")``
+        (never cached).  With worker processes it is also the pool's hard
+        deadline: a worker still busy ``1.5 * timeout_s`` (at least 50 ms)
+        after dispatch is killed, and its question answers
+        ``UNKNOWN(reason="timeout")``.  That clock includes encoding and
+        transfer, which the in-solver deadline does not, so a budget
+        shorter than a question's encoding can time out with processes
+        where the inline lane (``jobs=1``, or a lone question) answers.
 
     The verifier owns one :class:`WorkerPool`, created on first use and
     shut down by :meth:`close` (or on leaving a ``with`` block), so
-    repeated batches reuse its warm sessions and share its poison ledger.
+    repeated batches reuse its warm sessions and share its poison ledger
+    (until a larger batch replaces the pool, see :meth:`_pool_for`).
     """
 
     def __init__(
@@ -145,8 +159,7 @@ class ParallelVerifier:
         self.options, self.properties = resolve_mode(mode, options, properties)
         self.spec = BackendSpec.of(backend, max_iterations=max_solver_iterations)
         self.seed = seed
-        #: Per-item wall-clock budget; past it a solve answers
-        #: ``UNKNOWN(reason="timeout")`` (never cached) instead of hanging.
+        #: Per-question budget (see the class docs).
         self.timeout_s = timeout_s
         if isinstance(cache, str):
             if cache != "memory":
@@ -162,6 +175,22 @@ class ParallelVerifier:
         """The verifier's engine; ``jobs=1`` maps to an inline pool."""
         if self._pool is None:
             self._pool = WorkerPool(jobs=0 if self.jobs == 1 else self.jobs)
+        return self._pool
+
+    def _pool_for(self, questions: int) -> WorkerPool:
+        """The engine for a batch of ``questions`` distinct questions.
+
+        Worker processes only pay off for two or more questions: the pool
+        starts with ``min(jobs, questions)`` workers, or inline when that is
+        one.  A later batch that could use more workers replaces it (its
+        warm sessions and poison ledger go with it).
+        """
+        workers = min(self.jobs, questions)
+        workers = 0 if workers == 1 else workers
+        if self._pool is not None and self._pool.jobs < workers:
+            self.close()
+        if self._pool is None:
+            self._pool = WorkerPool(jobs=workers)
         return self._pool
 
     def close(self) -> None:
@@ -242,14 +271,17 @@ class ParallelVerifier:
             for key, indices in pending.items()
         ]
         # A fully cached batch never starts the pool's worker processes.
-        responses = self.pool.map(requests, self.timeout_s) if requests else []
+        responses = (
+            self._pool_for(len(requests)).map(requests, self.timeout_s)
+            if requests
+            else []
+        )
 
         for (key, indices), response in zip(pending.items(), responses):
             if not response.get("ok"):
                 _raise_failure(response)
-            representative = payload_to_result(response["result"])
-            # The worker answered in this trace's ids; point the result at
-            # the caller's trace object, not the worker's copy.
+            representative: VerificationResult = response["result"]
+            # The worker answered in this trace's ids and sent no trace back.
             representative.trace = entries[indices[0]][0]
             if self.cache is not None:
                 self.cache.store(key, representative)

@@ -94,9 +94,9 @@ class TestInlineLane:
 
 class TestCliBatchLane:
     def test_poison_workload_answers_unknown_for_every_repeat(self, capsys):
-        # The CLI batch lane runs on the same pool: figure1 kills every
-        # worker that touches it, so all four repeats answer an honest
-        # UNKNOWN (no verdict claimed) and the run exits 0, not crashed.
+        # The CLI's four repeats dedup to one question, solved on the
+        # inline pool: the injected crash hits it, so all four answer an
+        # honest UNKNOWN (no verdict claimed) and the run exits 0.
         faults.install("pool.worker.request:exit:match=figure1,max=0")
         code = main(["--workload", "figure1", "--repeat", "4", "--jobs", "2"])
         captured = capsys.readouterr().out

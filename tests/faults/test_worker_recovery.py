@@ -12,7 +12,9 @@ import threading
 import pytest
 
 from repro import faults
+from repro.service import protocol
 from repro.service.pool import POISON_CRASH_LIMIT, WorkerPool
+from repro.service.server import VerificationService
 from repro.utils.errors import ServiceError
 
 
@@ -142,3 +144,33 @@ class TestRespawnSerialization:
             assert worker.process.is_alive()
         finally:
             pool.close()
+
+
+class TestInlinePool:
+    """``jobs=0`` has no process to lose: an injected crash is answered at
+    once, in the shape the request's op expects."""
+
+    def test_inline_verify_crash_answers_unknown(self):
+        faults.install("pool.worker.request:crash:match=figure1,max=1")
+        pool = WorkerPool(jobs=0)
+        try:
+            answer = _verify(pool, "figure1")
+            assert answer["result"]["verdict"] == "unknown"
+            assert answer["result"]["unknown_reason"] == "worker_crash"
+            assert _verify(pool, "figure1")["result"]["verdict"] == "violation"
+            assert pool.worker_crashes == 1
+        finally:
+            pool.close()
+
+    def test_inline_enumerate_crash_is_a_worker_crash_error(self):
+        faults.install("pool.worker.request:crash:match=figure1,max=1")
+        service = VerificationService(jobs=0)
+        try:
+            request = protocol.make_request("enumerate", {"workload": "figure1"}, 7)
+            crashed = service.handle_json(request)
+            assert crashed["id"] == 7
+            assert crashed["error"]["code"] == protocol.WORKER_CRASH
+            answered = service.handle_json(request)
+            assert len(answered["result"]["matchings"]) >= 1
+        finally:
+            service.close()
