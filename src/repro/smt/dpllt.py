@@ -445,10 +445,14 @@ class TheoryCore(TheoryListener):
         return cached
 
     def _migrate_to_lia(self) -> None:
-        """Replay the IDL trail into a LIA solver (first non-difference atom)."""
+        """Load the IDL trail into a LIA solver (first non-difference atom).
+
+        The trail is loaded as bounds only; the assertion of the migrating
+        literal, which follows at once, runs the one feasibility check.
+        """
         lia = IncrementalLinearInt()
         for lit, constraints in self._arith.assertions:
-            conflict = lia.assert_lit(lit, constraints)
+            conflict = lia.assert_lit(lit, constraints, check=False)
             if conflict is not None:  # pragma: no cover - IDL-feasible prefix
                 raise SolverError("LIA migration of a consistent IDL trail failed")
         # Freeze the IDL solver for lazy explanations of propagations it

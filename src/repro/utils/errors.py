@@ -28,6 +28,17 @@ class BackendUnavailableError(SolverError):
     """
 
 
+class ResourceLimitError(SolverError):
+    """Raised when a solver exhausts a fixed work cap before deciding.
+
+    The canonical case is the LIA branch-and-bound node cap.  Backends
+    report it as an ``UNKNOWN`` answer with ``unknown_reason`` set to
+    :attr:`reason`, never as a failure.
+    """
+
+    reason = "resource"
+
+
 class IncompleteEnumerationError(SolverError):
     """Raised when a pairing enumeration stops on UNKNOWN instead of UNSAT.
 

@@ -157,15 +157,20 @@ class TestIncrementalLinearInt:
         with pytest.raises(SolverError):
             lia.explain(2)
 
-    def test_bounded_recheck_skips_large_trails(self):
-        lia = IncrementalLinearInt(recheck_rows_limit=2)
+    def test_conflict_caught_on_assert_on_a_trail_of_any_size(self):
+        lia = IncrementalLinearInt()
+        # A long trail of satisfiable multi-variable rows and bounds.
+        for i in range(150):
+            expr = LinearExpr.from_dict({f"v{i}": 1, f"v{i + 1}": 2})
+            assert lia.assert_lit(10 + i, [LinearLe(expr, 40)]) is None
         assert lia.assert_lit(1, [_upper("x", 0)]) is None
-        assert lia.assert_lit(2, [_upper("y", 0)]) is None
-        # Beyond the bound the per-assert recheck is skipped: the conflict
-        # surfaces at final_check instead of at assert time.
-        assert lia.assert_lit(3, [_lower("x", 1)]) is None
-        result = lia.final_check()
-        assert not result.satisfiable
+        # The clash is found when it is asserted, not at final check.
+        conflict = lia.assert_lit(2, [LinearLe(LinearExpr.from_dict({"x": -3}), -1)])
+        assert conflict == [1, 2]
+        # ... also when it runs through a tableau row.
+        lia.retract_to(lia.num_asserted - 1)
+        assert lia.assert_lit(3, [_lower("v1", 30)]) is None  # v0 <= -20 by lit 10
+        assert lia.assert_lit(4, [_lower("v0", -5)]) == [3, 4, 10]
 
 
 def _u_vars():
