@@ -51,6 +51,7 @@ from repro.smt.smtlib import _collect_declarations, to_smtlib
 from repro.smt.terms import Term, free_variables
 from repro.utils.errors import (
     BackendUnavailableError,
+    ResourceLimitError,
     SolverError,
     UnknownBackendError,
 )
@@ -177,6 +178,8 @@ class DpllTBackend:
             theory_bump=theory_bump,
             idl_propagation=idl_propagation,
         )
+        #: Why the last check answered ``UNKNOWN``, when a cap says so.
+        self.unknown_reason: Optional[str] = None
 
     @property
     def engine(self) -> IncrementalDpllTEngine:
@@ -197,7 +200,18 @@ class DpllTBackend:
         self._engine.pop()
 
     def check(self, *assumptions: Term) -> CheckResult:
-        return self._engine.check(*assumptions)
+        """Decide the assertions plus ``assumptions``.
+
+        A work cap hit inside a theory (the LIA branch-and-bound node
+        limit) answers ``UNKNOWN`` and names the cap in
+        :attr:`unknown_reason`; the next check starts clean.
+        """
+        self.unknown_reason = None
+        try:
+            return self._engine.check(*assumptions)
+        except ResourceLimitError as exc:
+            self.unknown_reason = exc.reason
+            return CheckResult.UNKNOWN
 
     def model(self) -> Model:
         return self._engine.model()

@@ -288,7 +288,9 @@ class VerificationSession:
         check comes back ``UNKNOWN`` with ``unknown_reason="timeout"``
         instead of hanging.  Timed-out answers are *not* memoized, so a
         retry with a larger (or no) budget gets a fresh solve — against a
-        backend whose learned state survived the interrupted attempt.
+        backend whose learned state survived the interrupted attempt.  A
+        theory work cap (the LIA branch-and-bound node limit) also answers
+        ``UNKNOWN``, with ``unknown_reason="resource"``.
         """
         if mode == "deadlock":
             return self.deadlocks(timeout_s=timeout_s)
@@ -333,13 +335,7 @@ class VerificationSession:
         else:
             verdict = Verdict.UNKNOWN
 
-        unknown_reason: Optional[str] = None
-        if (
-            verdict is Verdict.UNKNOWN
-            and deadline is not None
-            and time.monotonic() >= deadline
-        ):
-            unknown_reason = "timeout"
+        unknown_reason = self._unknown_reason(backend, verdict, deadline)
         result = VerificationResult(
             verdict=verdict,
             problem=self._problem,
@@ -352,9 +348,24 @@ class VerificationSession:
             backend=self.backend_name,
             unknown_reason=unknown_reason,
         )
-        if unknown_reason is None:
+        if unknown_reason != "timeout":
             self._verdict = result
         return result
+
+    @staticmethod
+    def _unknown_reason(
+        backend: SolverBackend, verdict: Verdict, deadline: Optional[float]
+    ) -> Optional[str]:
+        """Why an answer is ``UNKNOWN``: a cap the backend names, else a
+        lapsed deadline (``"timeout"``), else nothing."""
+        if verdict is not Verdict.UNKNOWN:
+            return None
+        reason = getattr(backend, "unknown_reason", None)
+        if reason is not None:
+            return reason
+        if deadline is not None and time.monotonic() >= deadline:
+            return "timeout"
+        return None
 
     @staticmethod
     def _arm_deadline(
@@ -481,13 +492,7 @@ class VerificationSession:
             verdict = Verdict.SAFE
         else:
             verdict = Verdict.UNKNOWN
-        unknown_reason: Optional[str] = None
-        if (
-            verdict is Verdict.UNKNOWN
-            and deadline is not None
-            and time.monotonic() >= deadline
-        ):
-            unknown_reason = "timeout"
+        unknown_reason = self._unknown_reason(backend, verdict, deadline)
         result = VerificationResult(
             verdict=verdict,
             problem=self._problem,
@@ -500,7 +505,7 @@ class VerificationSession:
             backend=self.backend_name,
             unknown_reason=unknown_reason,
         )
-        if unknown_reason is None:
+        if unknown_reason != "timeout":
             self._orphan_verdict = result
         return result
 
