@@ -182,9 +182,9 @@ class TheoryListener:
       first ``kept`` streamed literals survive, :meth:`on_restart` that the
       search restarted (after the corresponding backjump to level 0);
     * **finish**: :meth:`on_final_check` runs once a full assignment is
-      reached, for theories that only do a bounded check per assertion
-      (e.g. rational-only LIA filtering) and must complete it before the
-      solver may answer SAT.
+      reached, for theories that only do a partial check per assertion
+      (e.g. LIA, rational per assertion, integral at the end) and must
+      complete it before the solver may answer SAT.
 
     All methods are optional; the defaults make an attached listener a
     no-op.  Explanations returned by :meth:`on_assert` / :meth:`explain`

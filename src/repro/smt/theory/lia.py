@@ -4,37 +4,42 @@ The solver decides satisfiability of a conjunction of constraints
 
     sum_i c_i * x_i  <=  k        (c_i, k integers, x_i integer variables)
 
-in two stages:
+with the general simplex of Dutertre and de Moura ("A Fast Linear-Arithmetic
+Solver for DPLL(T)", CAV'06), the algorithm behind Yices:
 
-1. **Rational feasibility** by Fourier–Motzkin elimination with exact
-   :class:`fractions.Fraction` arithmetic.  Every derived constraint carries
-   the set of original constraint tags it was combined from, so an
-   inconsistency (``0 <= negative``) immediately yields an explanation.
-2. **Integer feasibility** by branch-and-bound: a rational model is rounded
-   variable by variable; whenever a variable cannot take an integer value
-   within its implied bounds, the solver branches on ``x <= floor`` versus
-   ``x >= ceil`` and recurses.
+1. **Tableau.**  Each distinct multi-variable linear form is a *slack*
+   variable defined by one tableau row.  Forms are divided by the gcd of
+   their coefficients and sign-normalised, so ``x - 2y <= k`` and
+   ``-x + 2y <= k'`` bound one slack from above and below.  A
+   single-variable constraint is a plain bound on its variable.
+2. **Rational feasibility** is incremental.  Asserting a constraint
+   tightens one bound, tagged with the asserting literal; a check then
+   pivots by Bland's rule until every basic variable is within its bounds.
+   When a violated row can no longer be repaired, the row's bounds are the
+   conflict.  Backtracking restores bounds only: the assignment stays a
+   valid starting point, so no pivot is ever undone.
+3. **Integer feasibility** is branch-and-bound at the final check, over
+   temporary untagged bounds on an explicit stack.  Past a fixed node cap
+   it raises :class:`~repro.utils.errors.ResourceLimitError`, which the
+   backends report as ``UNKNOWN`` with reason ``"resource"``.
 
-Two front ends share that machinery: the batch :class:`LinearIntSolver`
-(used by the offline lazy loop, one throwaway instance per candidate model)
-and the trail-backed :class:`IncrementalLinearInt` (used by the online
-DPLL(T) engine: ``assert_lit`` / ``retract_to`` / ``explain`` with a bounded
-rational re-check per assertion and the full integer check deferred to the
-final-check hook).
+:class:`IncrementalLinearInt` is the trail-backed solver of the online
+DPLL(T) engine (``assert_lit`` / ``retract_to`` / ``explain`` /
+``final_check``); :class:`LinearIntSolver` is a batch front end over the
+same tableau for the offline loop.
 
-The MCAPI trace encoding only produces difference constraints (handled by
-the faster :class:`repro.smt.theory.idl.DifferenceLogicSolver`), but the
-general solver keeps the SMT layer complete for arbitrary QF_LIA inputs,
-e.g. user properties that sum message payloads.
+The MCAPI trace encoding itself only produces difference constraints
+(handled by the faster :class:`repro.smt.theory.idl.DifferenceLogicSolver`);
+this solver takes over when a property mentions a non-difference term,
+such as a sum of received payloads.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.smt.linear import LinearLe
 from repro.smt.theory.idl import TheoryResult
@@ -42,221 +47,9 @@ from repro.utils.errors import ResourceLimitError, SolverError
 
 __all__ = ["LinearIntSolver", "IncrementalLinearInt"]
 
-#: Safety cap on branch-and-bound nodes; beyond this the solver gives up
-#: (reported as a SolverError rather than a wrong answer).
+#: Cap on branch-and-bound nodes per final check; past it the solver gives
+#: up with a ResourceLimitError rather than a wrong answer.
 _MAX_BB_NODES = 20_000
-
-
-@dataclass(frozen=True)
-class _Row:
-    """A rational constraint ``sum coeffs[x] * x <= bound`` with provenance."""
-
-    coeffs: Tuple[Tuple[str, Fraction], ...]
-    bound: Fraction
-    tags: FrozenSet[int]
-
-    def coeff_of(self, var: str) -> Fraction:
-        for name, coeff in self.coeffs:
-            if name == var:
-                return coeff
-        return Fraction(0)
-
-    def drop(self, var: str) -> Tuple[Tuple[str, Fraction], ...]:
-        return tuple((n, c) for n, c in self.coeffs if n != var)
-
-
-def _make_row(constraint: LinearLe, tag: int) -> _Row:
-    coeffs = tuple(
-        (name, Fraction(coeff)) for name, coeff in constraint.expr.coeffs if coeff != 0
-    )
-    return _Row(coeffs, Fraction(constraint.bound), frozenset([tag]))
-
-
-# ---------------------------------------------------------------------------
-# Shared rational / integer checking over tagged rows
-# ---------------------------------------------------------------------------
-
-
-def _pick_value(lower: Optional[Fraction], upper: Optional[Fraction]) -> Fraction:
-    """Choose a value within [lower, upper], preferring integers."""
-    if lower is None and upper is None:
-        return Fraction(0)
-    if lower is None:
-        candidate = Fraction(math.floor(upper))
-        return candidate if candidate <= upper else upper
-    if upper is None:
-        candidate = Fraction(math.ceil(lower))
-        return candidate if candidate >= lower else lower
-    # Both bounds present (lower <= upper is guaranteed by FM feasibility).
-    candidate = Fraction(math.ceil(lower))
-    if lower <= candidate <= upper:
-        return candidate
-    return lower
-
-
-def _find_conflict(rows: List[_Row]) -> Optional[FrozenSet[int]]:
-    for row in rows:
-        if not row.coeffs and row.bound < 0:
-            return row.tags
-    return None
-
-
-def _eliminate(rows: List[_Row], var: str) -> List[_Row]:
-    """One Fourier–Motzkin elimination step for ``var``."""
-    uppers: List[_Row] = []   # coeff > 0  ->  var <= ...
-    lowers: List[_Row] = []   # coeff < 0  ->  var >= ...
-    others: List[_Row] = []
-    for row in rows:
-        coeff = row.coeff_of(var)
-        if coeff > 0:
-            uppers.append(row)
-        elif coeff < 0:
-            lowers.append(row)
-        else:
-            others.append(row)
-
-    new_rows = list(others)
-    for up in uppers:
-        cu = up.coeff_of(var)
-        for lo in lowers:
-            cl = -lo.coeff_of(var)
-            # Combine: cl * up + cu * lo eliminates var.
-            coeffs: Dict[str, Fraction] = {}
-            for name, c in up.drop(var):
-                coeffs[name] = coeffs.get(name, Fraction(0)) + cl * c
-            for name, c in lo.drop(var):
-                coeffs[name] = coeffs.get(name, Fraction(0)) + cu * c
-            bound = cl * up.bound + cu * lo.bound
-            new_rows.append(
-                _Row(
-                    tuple(sorted((n, c) for n, c in coeffs.items() if c != 0)),
-                    bound,
-                    up.tags | lo.tags,
-                )
-            )
-    return new_rows
-
-
-def _rational_check(rows: List[_Row]):
-    """Fourier–Motzkin feasibility over the rationals.
-
-    Returns ``(True, model)`` or ``(False, conflict_tags)``.
-    """
-    variables = sorted({name for row in rows for name, _ in row.coeffs})
-    # systems[k] is the constraint system *before* eliminating variables[k].
-    systems: List[List[_Row]] = []
-    current = list(rows)
-
-    for var in variables:
-        systems.append(current)
-        current = _eliminate(current, var)
-        conflict = _find_conflict(current)
-        if conflict is not None:
-            return False, conflict
-
-    conflict = _find_conflict(current)
-    if conflict is not None:
-        return False, conflict
-
-    # Back-substitute to build a model.
-    model: Dict[str, Fraction] = {}
-    for var, system in zip(reversed(variables), reversed(systems)):
-        lower: Optional[Fraction] = None
-        upper: Optional[Fraction] = None
-        for row in system:
-            coeff = row.coeff_of(var)
-            if coeff == 0:
-                continue
-            rest = row.bound
-            for name, c in row.coeffs:
-                if name != var:
-                    rest -= c * model.get(name, Fraction(0))
-            limit = rest / coeff
-            if coeff > 0:
-                upper = limit if upper is None else min(upper, limit)
-            else:
-                lower = limit if lower is None else max(lower, limit)
-        model[var] = _pick_value(lower, upper)
-    return True, model
-
-
-class _RowChecker:
-    """Branch-and-bound integer feasibility over tagged rows."""
-
-    def __init__(self, fallback_tags: Iterable[int]) -> None:
-        self._fallback = sorted(set(fallback_tags))
-        self._nodes = 0
-
-    def check(self, rows: List[_Row]) -> TheoryResult:
-        self._nodes += 1
-        if self._nodes > _MAX_BB_NODES:
-            raise SolverError("LIA branch-and-bound node limit exceeded")
-
-        feasible, model_or_conflict = _rational_check(rows)
-        if not feasible:
-            return TheoryResult(satisfiable=False, conflict=sorted(model_or_conflict))
-
-        model: Dict[str, Fraction] = model_or_conflict
-        fractional = [v for v, value in model.items() if value.denominator != 1]
-        if not fractional:
-            return TheoryResult(
-                satisfiable=True, model={v: int(value) for v, value in model.items()}
-            )
-
-        # Branch on the first fractional variable.
-        var = sorted(fractional)[0]
-        value = model[var]
-        floor_value = math.floor(value)
-
-        low_branch = rows + [
-            _Row(((var, Fraction(1)),), Fraction(floor_value), frozenset())
-        ]
-        result = self.check(low_branch)
-        if result.satisfiable:
-            return result
-
-        high_branch = rows + [
-            _Row(((var, Fraction(-1)),), Fraction(-(floor_value + 1)), frozenset())
-        ]
-        result = self.check(high_branch)
-        if result.satisfiable:
-            return result
-
-        # Neither branch is integer-feasible.  The union of both explanations,
-        # restricted to original constraint tags, is a valid explanation (the
-        # branching cuts themselves carry no tags), but localising it is
-        # subtle; fall back to the full tag set.
-        return TheoryResult(satisfiable=False, conflict=list(self._fallback))
-
-
-class LinearIntSolver:
-    """Decides conjunctions of linear integer constraints (batch mode)."""
-
-    def __init__(self) -> None:
-        self._constraints: List[LinearLe] = []
-
-    def assert_constraint(self, constraint: LinearLe) -> int:
-        index = len(self._constraints)
-        self._constraints.append(constraint)
-        return index
-
-    def assert_all(self, constraints: Sequence[LinearLe]) -> None:
-        for constraint in constraints:
-            self.assert_constraint(constraint)
-
-    def __len__(self) -> int:
-        return len(self._constraints)
-
-    def check(self) -> TheoryResult:
-        """Check integer satisfiability of everything asserted so far."""
-        rows = [_make_row(c, i) for i, c in enumerate(self._constraints)]
-        checker = _RowChecker(range(len(self._constraints)))
-        return checker.check(rows)
-
-
-# ---------------------------------------------------------------------------
-# Incremental bounded simplex for the online DPLL(T) engine
-# ---------------------------------------------------------------------------
 
 #: A tableau number: a plain int whenever the value is integral (int
 #: arithmetic is far cheaper than Fraction arithmetic), else a Fraction.
@@ -711,3 +504,35 @@ class IncrementalLinearInt:
             if val[var].__class__ is not int:
                 return var
         return None
+
+
+class LinearIntSolver:
+    """Decides conjunctions of linear integer constraints (batch mode).
+
+    A front end over :class:`IncrementalLinearInt`: constraint ``i`` is
+    asserted under tag ``i``, so conflicts are constraint indices.
+    """
+
+    def __init__(self) -> None:
+        self._constraints: List[LinearLe] = []
+
+    def assert_constraint(self, constraint: LinearLe) -> int:
+        index = len(self._constraints)
+        self._constraints.append(constraint)
+        return index
+
+    def assert_all(self, constraints: Sequence[LinearLe]) -> None:
+        for constraint in constraints:
+            self.assert_constraint(constraint)
+
+    def __len__(self) -> int:
+        return len(self._constraints)
+
+    def check(self) -> TheoryResult:
+        """Check integer satisfiability of everything asserted so far."""
+        solver = IncrementalLinearInt()
+        for index, constraint in enumerate(self._constraints):
+            conflict = solver.assert_lit(index, (constraint,), check=False)
+            if conflict is not None:
+                return TheoryResult(satisfiable=False, conflict=conflict)
+        return solver.final_check()
