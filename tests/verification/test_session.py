@@ -6,7 +6,9 @@ import pytest
 from repro.baselines.explicit import ExplicitStateExplorer, canonical_matching
 from repro.encoding.encoder import TraceEncoder
 from repro.program import ProgramBuilder, run_program
+from repro.program.ast import C, V
 from repro.smt import CheckResult, DpllTBackend
+from repro.smt.terms import Add, Eq, IntVal, IntVar, Mul
 from repro.utils.errors import (
     EncodingError,
     IncompleteEnumerationError,
@@ -17,6 +19,7 @@ from repro.verification import (
     SymbolicVerifier,
     Verdict,
     VerificationSession,
+    replay_witness,
     verify_many,
 )
 from repro.workloads import (
@@ -330,3 +333,55 @@ class TestVerifyMany:
 
     def test_empty_batch(self):
         assert verify_many([]) == []
+
+
+class TestLinearArithmeticLane:
+    """scatter_gather asserts a *sum* of received payloads, so its verdicts
+    run on the LIA lane rather than on difference logic."""
+
+    def test_scatter_gather_four_sum_is_safe(self):
+        session = VerificationSession.from_program(scatter_gather(4), seed=0)
+        result = session.verdict()
+        assert result.verdict is Verdict.SAFE
+        stats = result.solver_statistics
+        # Every LIA conflict is caught when its literal is asserted, on a
+        # partial assignment, and the search stays small.
+        assert stats["theory_conflicts"] > 0
+        assert stats["theory_partial_conflicts"] == stats["theory_conflicts"]
+        assert stats["sat_conflicts"] < 2_000
+
+    def test_scatter_gather_four_order_is_violable_and_replays(self):
+        program = scatter_gather(4, assert_order=True)
+        session = VerificationSession.from_program(program, seed=0)
+        result = session.verdict()
+        assert result.verdict is Verdict.VIOLATION
+        assert result.solver_statistics["sat_conflicts"] < 2_000
+        outcome = replay_witness(program, result.problem, result.witness)
+        assert outcome.values_match
+        assert outcome.reproduced_violation
+        assert any(
+            f.label == "first-reply-from-worker0"
+            for f in outcome.run.assertion_failures
+        )
+
+    def test_branch_and_bound_cap_is_unknown_resource(self):
+        """A backend whose LIA lane exhausts the branch-and-bound node cap
+        answers UNKNOWN(resource) on every query mode, and never raises."""
+        x, y = IntVar("cap_x"), IntVar("cap_y")
+        backend = DpllTBackend()
+        # Rationally feasible, no integer point, unbounded: B&B never ends.
+        backend.add(Eq(Add(Mul(2, x), Mul(-2, y)), IntVal(1)))
+        # Two sends, one receive: a safety violation and an orphan exist,
+        # so both searches reach the final check that runs B&B.
+        builder = ProgramBuilder("one_orphan")
+        builder.thread("a").send("c", C(1))
+        builder.thread("b").send("c", C(2))
+        builder.thread("c").recv("x").assertion(V("x").eq(C(1)), label="x-is-1")
+        session = VerificationSession.from_program(
+            builder.build(), seed=0, backend=backend
+        )
+        for result in (session.verdict(), session.orphans()):
+            assert result.verdict is Verdict.UNKNOWN
+            assert result.unknown_reason == "resource"
+            assert not result.timed_out
+
