@@ -167,7 +167,7 @@ def solver_probes():
     from repro.program.interpreter import run_program
     from repro.smt.dpllt import DpllTEngine
     from repro.verification.session import VerificationSession
-    from repro.workloads.generators import racy_fanin
+    from repro.workloads.generators import racy_fanin, scatter_gather
 
     probes = {}
 
@@ -201,6 +201,20 @@ def solver_probes():
         result.verdict.value,
         session.statistics(),
     )
+
+    # LIA scaling: scatter_gather asserts a sum of received payloads, so
+    # its verdict runs on the simplex lane; one row per worker count.
+    for workers in range(2, 6):
+        run = run_program(scatter_gather(workers), seed=0)
+        session = VerificationSession(run.trace)
+        start = time.perf_counter()
+        result = session.verdict()
+        record(
+            f"scatter_gather_{workers}_verdict",
+            time.perf_counter() - start,
+            result.verdict.value,
+            session.statistics(),
+        )
     return probes
 
 
