@@ -173,7 +173,7 @@ class IncrementalLinearInt:
                 var = self._fractional(active)
                 if var is None:
                     model = {self._names[x]: int(self._val[x]) for x in active}
-                    return TheoryResult(satisfiable=True, model=model)  # type: ignore[misc]
+                    return TheoryResult(satisfiable=True, model=model)
                 height = len(self._undo)
                 floor_value = math.floor(self._val[var])
                 stack.append((height, var, False, floor_value + 1))
@@ -223,34 +223,26 @@ class IncrementalLinearInt:
                 break
         else:
             raise SolverError(f"literal {lit} is not on the LIA trail")
-        later = [(lit, constraints)] + [(f[0], f[1]) for f in self._frames[position + 1:]]
+        restore = self.assertions[position:]
         self.retract_to(position)
         height = len(self._undo)
         tags: Set[Optional[int]] = set()
         try:
-            for other, other_constraints in later[1:]:
+            for other, other_constraints in restore[1:]:
                 self._load(other, other_constraints)
             for constraint in constraints:
-                negated = constraint.negated()
-                if not negated.expr.coeffs:
-                    if negated.bound < 0:
-                        continue
-                    conflict = None
-                else:
-                    probe = len(self._undo)
-                    var, upper, bound, _ = self._bound_of(negated)
-                    conflict = self._assert_bound(var, upper, bound, None)
-                    if conflict is None:
-                        conflict = self._check()
-                    self._undo_to(probe)
+                probe = len(self._undo)
+                conflict = self._load(None, [constraint.negated()])
+                if conflict is None:
+                    conflict = self._check()
+                self._undo_to(probe)
                 if conflict is None:
                     raise SolverError("LIA explain: literal is not (rationally) entailed")
                 tags.update(conflict)
         finally:
             self._undo_to(height)
-            for frame_lit, frame_constraints in later:
-                self._frames.append((frame_lit, frame_constraints, len(self._undo)))
-                self._load(frame_lit, frame_constraints)
+            for frame_lit, frame_constraints in restore:
+                self.assert_lit(frame_lit, frame_constraints, check=False)
         tags.discard(lit)
         return _lits(tags)
 
@@ -260,8 +252,8 @@ class IncrementalLinearInt:
     # -- bounds -----------------------------------------------------------------
 
     def _load(
-        self, lit: int, constraints: Sequence[LinearLe]
-    ) -> Optional[Iterable[Optional[int]]]:
+        self, lit: Optional[int], constraints: Sequence[LinearLe]
+    ) -> Optional[List[Optional[int]]]:
         """Tighten the bounds of ``constraints`` under tag ``lit``."""
         for constraint in constraints:
             if not constraint.expr.coeffs:
