@@ -197,9 +197,9 @@ class IncrementalLinearInt:
                     # of the asserted bounds would follow exactly one branch
                     # at each node down to a leaf whose bounds it satisfies,
                     # so the leaves' asserted (tagged) bounds together are
-                    # integer-infeasible.
-                    lits = _lits(explanation) or _lits(f[0] for f in self._frames)
-                    return TheoryResult(satisfiable=False, conflict=lits)
+                    # integer-infeasible.  The branch bounds alone always
+                    # form a box, so every leaf conflict names one.
+                    return TheoryResult(satisfiable=False, conflict=_lits(explanation))
         finally:
             self._undo_to(base)
 
@@ -491,6 +491,8 @@ class IncrementalLinearInt:
         return sorted(active)
 
     def _fractional(self, active: List[int]) -> Optional[int]:
+        """The first active variable with a non-integral value (stored as a
+        Fraction: integral values are always plain ints)."""
         val = self._val
         for var in active:
             if val[var].__class__ is not int:
