@@ -135,6 +135,26 @@ class Term:
     def children(self) -> Tuple["Term", ...]:
         return self.args
 
+    # -- hashing -----------------------------------------------------------------
+
+    def __hash__(self) -> int:
+        # The field-tuple hash recurses through the whole subtree, and terms
+        # are dict keys all over the backend load (gate cache, atom map), so
+        # the value is computed once and kept on the instance.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.kind, self.sort, self.args, self.name, self.value))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        # ``str`` hashes are salted per process: a pickled term must not
+        # carry its cached hash into another interpreter.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     # -- traversal ---------------------------------------------------------------
 
     def walk(self) -> Iterator["Term"]:

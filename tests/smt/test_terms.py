@@ -1,5 +1,10 @@
 """Tests for the SMT term language and smart constructors."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.smt.sorts import BOOL, INT, uninterpreted_sort
@@ -249,3 +254,39 @@ class TestHelpers:
         assert str(Lt(x, IntVal(2))) == "(< x 2)"
         assert str(IntVal(-2)) == "(- 2)"
         assert str(TRUE) == "true"
+
+
+class TestHashing:
+    """A term caches its hash; the cache must never cross a process."""
+
+    def test_hash_is_the_field_tuple_hash(self):
+        t = And(Lt(IntVar("x"), Add(IntVar("y"), IntVal(1))), BoolVar("b"))
+        expected = hash((t.kind, t.sort, t.args, t.name, t.value))
+        assert hash(t) == expected
+        assert hash(t) == expected  # the cached value
+
+    def test_unpickled_term_is_found_under_another_hash_seed(self):
+        term = Lt(IntVar("x"), Add(IntVar("y"), IntVal(1)))
+        hash(term)  # fill the cache before pickling
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = os.path.dirname(os.path.dirname(sys.modules["repro"].__file__))
+        script = (
+            "import pickle, sys\n"
+            "from repro.smt.terms import Add, IntVal, IntVar, Lt\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "built = Lt(IntVar('x'), Add(IntVar('y'), IntVal(1)))\n"
+            "assert {built: 1}[loaded] == 1\n"
+            "assert {loaded: 1}[built] == 1\n"
+            "print(hash('x'))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(term),
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr.decode()
+        # The subprocess really did salt str hashes differently.
+        assert int(completed.stdout) != hash("x")
