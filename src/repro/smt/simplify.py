@@ -8,6 +8,10 @@ The DPLL(T) loop requires its input to be *theory-clean*:
 
 These passes are pure term-to-term rewrites and preserve equivalence, so
 they can be applied regardless of the polarity of the rewritten subterm.
+
+:func:`preprocess` does all of it in one bottom-up pass; the four separate
+passes stay public as its reference semantics (``preprocess(t)`` is
+structurally equal to applying them in the canonical order).
 """
 
 from __future__ import annotations
@@ -34,12 +38,84 @@ __all__ = ["preprocess", "eliminate_int_ite", "eliminate_int_equalities", "rewri
 
 
 def preprocess(term: Term) -> Term:
-    """Run all preprocessing passes in the canonical order."""
-    term = eliminate_int_ite(term)
-    term = rewrite_bool_eq(term)
-    term = eliminate_int_equalities(term)
-    term = simplify_constants(term)
-    return term
+    """All preprocessing passes in one bottom-up pass.
+
+    Equal to :func:`simplify_constants` ∘ :func:`eliminate_int_equalities`
+    ∘ :func:`rewrite_bool_eq` ∘ :func:`eliminate_int_ite`: Boolean
+    equalities become ``iff``, integer equalities two ``<=``, and every node
+    is rebuilt through its folding constructor.  An atom holding an integer
+    ``ite`` is first lifted by the ite pass, and the pass runs on the lift.
+    """
+    if not term.sort.is_bool:
+        raise SolverError("preprocess expects a Boolean formula")
+    return _formula(term)
+
+
+class _IntIteFound(Exception):
+    """Raised inside an atom that still holds an integer ``ite``."""
+
+
+_LIFT_CONNECTIVES = frozenset({"and", "or", "not", "implies", "iff"})
+
+
+def _formula(term: Term) -> Term:
+    """The Boolean structure above the atoms, where ``ite`` lifting applies."""
+    kind = term.kind
+    if kind in _LIFT_CONNECTIVES or (kind == "ite" and term.sort.is_bool):
+        return _rebuild(term, tuple(_formula(a) for a in term.args))
+    try:
+        return _rewrite(term)
+    except _IntIteFound:
+        return _formula(_lift_ite(term))
+
+
+def _rewrite(term: Term) -> Term:
+    """The combined rewrite of a subterm without integer ``ite`` lifting."""
+    args = term.args
+    if not args:
+        return term
+    kind = term.kind
+    if kind == "le" or kind == "lt":
+        a, b = args
+        if not a.args and not b.args and a != b and not (a.is_const and b.is_const):
+            return term  # a comparison of leaves is already folded
+    elif kind == "eq":
+        a = _rewrite(args[0])
+        b = _rewrite(args[1])
+        if a.sort.is_bool:
+            return Iff(a, b)
+        if a.sort.is_int:
+            return And(Le(a, b), Le(b, a))
+        return Eq(a, b)
+    elif kind == "ite" and term.sort.is_int:
+        raise _IntIteFound
+    return _rebuild(term, tuple(_rewrite(a) for a in args))
+
+
+def _rebuild(term: Term, args: tuple) -> Term:
+    """``term`` over new ``args``, through the folding constructor."""
+    kind = term.kind
+    if kind == "and":
+        return And(args)
+    if kind == "or":
+        return Or(args)
+    if kind == "not":
+        return Not(args[0])
+    if kind == "implies":
+        return Implies(args[0], args[1])
+    if kind == "iff":
+        return Iff(args[0], args[1])
+    if kind == "ite":
+        return Ite(args[0], args[1], args[2])
+    if kind == "eq":
+        return Eq(args[0], args[1])
+    if kind == "le":
+        return Le(args[0], args[1])
+    if kind == "lt":
+        return Lt(args[0], args[1])
+    if args == term.args:
+        return term
+    return Term(kind, term.sort, args, term.name, term.value)
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +224,4 @@ def simplify_constants(term: Term) -> Term:
     """
     if not term.args:
         return term
-    args = tuple(simplify_constants(a) for a in term.args)
-    kind = term.kind
-    if kind == "and":
-        return And(args)
-    if kind == "or":
-        return Or(args)
-    if kind == "not":
-        return Not(args[0])
-    if kind == "implies":
-        return Implies(args[0], args[1])
-    if kind == "iff":
-        return Iff(args[0], args[1])
-    if kind == "ite":
-        return Ite(args[0], args[1], args[2])
-    if kind == "eq":
-        return Eq(args[0], args[1])
-    if kind == "le":
-        return Le(args[0], args[1])
-    if kind == "lt":
-        return Lt(args[0], args[1])
-    if args == term.args:
-        return term
-    return Term(kind, term.sort, args, term.name, term.value)
+    return _rebuild(term, tuple(simplify_constants(a) for a in term.args))
