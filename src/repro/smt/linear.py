@@ -63,7 +63,8 @@ class LinearExpr:
         )
 
     def negate(self) -> "LinearExpr":
-        return self.scale(-1)
+        # Negation keeps the sorted order and nonzero coefficients.
+        return LinearExpr(tuple((v, -c) for v, c in self.coeffs), -self.const)
 
     def sub(self, other: "LinearExpr") -> "LinearExpr":
         return self.add(other.negate())
@@ -114,13 +115,14 @@ class LinearLe:
     def is_difference(self) -> bool:
         """True for difference-logic constraints ``x - y <= k``, ``x <= k``,
         ``-x <= k`` or constant constraints."""
-        coeffs = [c for _, c in self.expr.coeffs]
-        if len(coeffs) == 0:
+        coeffs = self.expr.coeffs
+        if not coeffs:
             return True
         if len(coeffs) == 1:
-            return coeffs[0] in (1, -1)
+            return coeffs[0][1] in (1, -1)
         if len(coeffs) == 2:
-            return sorted(coeffs) == [-1, 1]
+            first = coeffs[0][1]
+            return first in (1, -1) and coeffs[1][1] == -first
         return False
 
     @property
@@ -145,29 +147,32 @@ def linearize(term: Term) -> LinearExpr:
     (e.g. integer ``ite`` — eliminate those with
     :func:`repro.smt.simplify.eliminate_ite` first).
     """
+    coeffs: Dict[str, int] = {}
+    const = _accumulate(term, 1, coeffs)
+    return LinearExpr.from_dict(coeffs, const)
+
+
+def _accumulate(term: Term, factor: int, coeffs: Dict[str, int]) -> int:
+    """Add ``factor * term`` into ``coeffs``; returns ``factor`` times the
+    term's constant part."""
     if not term.sort.is_int:
         raise SolverError(f"linearize expects an Int term, got {term.sort}")
     kind = term.kind
+    if kind == "var" or (kind == "app" and not term.args):
+        name = term.name
+        coeffs[name] = coeffs.get(name, 0) + factor  # type: ignore[index]
+        return 0
     if kind == "intconst":
-        return LinearExpr.constant(term.value)  # type: ignore[arg-type]
-    if kind == "var":
-        return LinearExpr.variable(term.name)  # type: ignore[arg-type]
-    if kind == "app" and not term.args:
-        # Nullary uninterpreted Int constant: treat as a variable named by
-        # its function symbol.
-        return LinearExpr.variable(term.name)  # type: ignore[arg-type]
+        return factor * term.value  # type: ignore[operator]
     if kind == "add":
-        acc = LinearExpr.constant(0)
-        for child in term.args:
-            acc = acc.add(linearize(child))
-        return acc
+        return sum(_accumulate(child, factor, coeffs) for child in term.args)
     if kind == "neg":
-        return linearize(term.args[0]).negate()
+        return _accumulate(term.args[0], -factor, coeffs)
     if kind == "mul":
         coeff_term, other = term.args
         if coeff_term.kind != "intconst":
             raise SolverError("non-linear multiplication is not supported")
-        return linearize(other).scale(coeff_term.value)  # type: ignore[arg-type]
+        return _accumulate(other, factor * coeff_term.value, coeffs)  # type: ignore[operator]
     raise SolverError(f"cannot linearize term of kind {kind!r}: {term}")
 
 
@@ -187,9 +192,11 @@ def atom_to_constraints(atom: Term, positive: bool) -> Tuple[LinearLe, ...]:
     if kind not in ("le", "lt", "eq"):
         raise SolverError(f"not an arithmetic atom: {atom}")
     lhs, rhs = atom.args
-    diff = linearize(lhs).sub(linearize(rhs))
-    expr = LinearExpr(diff.coeffs, 0)
-    offset = -diff.const
+    # Both sides go into one coefficient dict, normalised once.
+    coeffs: Dict[str, int] = {}
+    const = _accumulate(lhs, 1, coeffs) + _accumulate(rhs, -1, coeffs)
+    expr = LinearExpr.from_dict(coeffs)
+    offset = -const
 
     if kind == "le":
         if positive:
