@@ -376,28 +376,32 @@ class SatSolver:
 
     def new_var(self) -> int:
         """Allocate a fresh variable and return its (positive) index."""
-        self._num_vars += 1
-        self._assign.append(self._UNASSIGNED)
-        self._level.append(0)
-        self._reason.append(0)
-        self._activity.append(0.0)
-        self._phase.append(0)
+        self.ensure_vars(self._num_vars + 1)
+        return self._num_vars
+
+    def ensure_vars(self, count: int) -> None:
+        """Make sure variables ``1..count`` exist (the arrays grow once)."""
+        first = self._num_vars + 1
+        if count < first:
+            return
+        extra = count - self._num_vars
+        self._num_vars = count
+        zeros = [0] * extra
+        self._assign.extend(zeros)
+        self._level.extend(zeros)
+        self._reason.extend(zeros)
+        self._phase.extend(zeros)
+        self._activity.extend([0.0] * extra)
         # Watch slots are allocated here, once per variable, so clause
         # loading never touches a dict (the old core paid a
         # _watches.setdefault per literal per add_clause).
         if self._cwt is not None:
-            self._kernel.sk_wt_ensure(self._cwt, 2 * self._num_vars + 2)
+            self._kernel.sk_wt_ensure(self._cwt, 2 * count + 2)
         else:
-            self._watches.append([])
-            self._watches.append([])
-        var = self._num_vars
-        heapq.heappush(self._heap, (0.0, var))
-        return var
-
-    def ensure_vars(self, count: int) -> None:
-        """Make sure variables ``1..count`` exist."""
-        while self._num_vars < count:
-            self.new_var()
+            self._watches.extend([] for _ in range(2 * extra))
+        heap = self._heap
+        for var in range(first, count + 1):
+            heapq.heappush(heap, (0.0, var))
 
     @property
     def num_vars(self) -> int:
@@ -542,57 +546,65 @@ class SatSolver:
         Clauses may be added at any time; clauses added between ``solve``
         calls are handled incrementally (the solver backtracks to level 0).
         """
+        return self.add_clauses((lits,))
+
+    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
+        """Add clauses in order; returns ``False`` once the formula is
+        trivially unsat (later clauses are then ignored).
+
+        The batch backtracks once and grows the variable arrays as needed;
+        the arena and watch lists come out exactly as one
+        :meth:`add_clause` per clause would leave them.
+        """
         if not self._ok:
             return False
         self._backtrack(0)
-        unique: List[int] = []
-        seen = set()
-        for lit in lits:
-            if lit == 0:
-                raise SolverError("literal 0 is not allowed")
-            var = abs(lit)
-            self.ensure_vars(var)
-            if lit in seen:
-                continue
-            if -lit in seen:
-                return True  # tautology
-            seen.add(lit)
-            unique.append(lit)
-
-        # Remove literals already false at level 0; detect satisfied clauses.
-        filtered: List[int] = []
         assign = self._assign
         level = self._level
-        for lit in unique:
-            val = assign[lit] if lit > 0 else -assign[-lit]
-            if val > 0 and level[abs(lit)] == 0:
-                return True
-            if val < 0 and level[abs(lit)] == 0:
+        num_vars = self._num_vars
+        for lits in clauses:
+            unique: List[int] = []
+            seen = set()
+            tautology = False
+            for lit in lits:
+                if lit == 0:
+                    raise SolverError("literal 0 is not allowed")
+                var = lit if lit > 0 else -lit
+                if var > num_vars:
+                    self.ensure_vars(var)
+                    num_vars = var
+                if lit in seen:
+                    continue
+                if -lit in seen:
+                    tautology = True
+                    break
+                seen.add(lit)
+                unique.append(lit)
+            if tautology:
                 continue
-            filtered.append(lit)
 
-        if not filtered:
-            self._ok = False
-            return False
-        if len(filtered) == 1:
-            if not self._enqueue(filtered[0], 0):
-                self._ok = False
-                return False
-            if self._propagate() is not None:
-                self._ok = False
-                return False
-            return True
-
-        ref = self._alloc(filtered)
-        self._attach(ref)
-        self._clause_refs.append(ref)
+            # Drop literals already false at level 0; skip satisfied clauses.
+            filtered: List[int] = []
+            for lit in unique:
+                val = assign[lit] if lit > 0 else -assign[-lit]
+                if val and level[lit if lit > 0 else -lit] == 0:
+                    if val > 0:
+                        break
+                    continue
+                filtered.append(lit)
+            else:
+                if not filtered:
+                    self._ok = False
+                    return False
+                if len(filtered) == 1:
+                    if not self._enqueue(filtered[0], 0) or self._propagate() is not None:
+                        self._ok = False
+                        return False
+                    continue
+                ref = self._alloc(filtered)
+                self._attach(ref)
+                self._clause_refs.append(ref)
         return True
-
-    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
-        ok = True
-        for clause in clauses:
-            ok = self.add_clause(clause) and ok
-        return ok
 
     # ------------------------------------------------------------------ values
 
