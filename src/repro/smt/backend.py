@@ -187,11 +187,12 @@ class DpllTBackend:
         return self._engine
 
     def add(self, *terms: Term) -> None:
-        for term in terms:
-            self._engine.add(_validate_assertion(term))
+        self.add_all(terms)
 
     def add_all(self, terms: Iterable[Term]) -> None:
-        self.add(*terms)
+        # Every term is validated before any is asserted, so a rejected
+        # batch leaves the assertion set untouched.
+        self._engine.add_all([_validate_assertion(term) for term in terms])
 
     def push(self) -> None:
         self._engine.push()

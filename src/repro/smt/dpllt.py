@@ -34,6 +34,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.smt.cnf import TseitinConverter, tseitin
@@ -404,19 +405,18 @@ class TheoryCore(TheoryListener):
         Non-difference atoms (which will migrate the lane to LIA the moment
         they are asserted) and atoms whose negation is not a conjunctive
         constraint simply stay unregistered — propagation is an
-        optimisation, never a requirement.
+        optimisation, never a requirement.  The negation of a difference
+        constraint is again one, so only the positive phase is tested.
         """
         try:
             positive = self._constraints_for(var, True)
-            negative = self._constraints_for(var, False)
         except SolverError:
             return
-        if len(positive) != 1 or len(negative) != 1:
+        if len(positive) != 1 or not positive[0].is_difference:
             return
-        if not positive[0].is_difference or not negative[0].is_difference:
-            return
+        (negative,) = self._constraints_for(var, False)
         assert isinstance(self._arith, IncrementalDifferenceLogic)
-        self._arith.register_atom(var, positive[0], negative[0])
+        self._arith.register_atom(var, positive[0], negative)
 
     @property
     def num_arith_atoms(self) -> int:
@@ -440,7 +440,14 @@ class TheoryCore(TheoryListener):
         key = (var, positive)
         cached = self._cache.get(key)
         if cached is None:
-            cached = tuple(atom_to_constraints(self._arith_vars[var], positive))
+            atom = self._arith_vars[var]
+            if positive or atom.kind not in _ARITH_KINDS:
+                cached = tuple(atom_to_constraints(atom, positive))
+            else:
+                # The atom is linearised once: for ``<=``/``<`` the negative
+                # phase is exactly the negation of the positive constraint.
+                (constraint,) = self._constraints_for(var, True)
+                cached = (constraint.negated(),)
             self._cache[key] = cached
         return cached
 
@@ -823,13 +830,24 @@ class IncrementalDpllTEngine:
 
     def add(self, term: Term) -> None:
         """Assert ``term`` in the current scope."""
-        term = preprocess(term)
-        self._variables.update(free_variables(term))
+        self.add_all([term])
+
+    def add_all(self, terms: Sequence[Term]) -> None:
+        """Assert every term of ``terms`` in the current scope, as one batch.
+
+        The terms are preprocessed and encoded in order and then loaded into
+        the SAT core and the theories with one flush, which leaves exactly
+        the state that adding them one at a time would.
+        """
+        terms = [preprocess(term) for term in terms]
+        for term in terms:
+            self._variables.update(free_variables(term))
         self._invalidate()
-        if self._selectors:
-            self._encode_guarded(term, self._selectors[-1])
-        else:
-            self._converter.encode_assertion(term)
+        for term in terms:
+            if self._selectors:
+                self._encode_guarded(term, self._selectors[-1])
+            else:
+                self._converter.encode_assertion(term)
         self._flush()
 
     def push(self) -> None:
@@ -1069,16 +1087,15 @@ class IncrementalDpllTEngine:
         result = self._converter.result
         self._sat.ensure_vars(result.num_vars)
         clauses = result.clauses
-        while self._clauses_fed < len(clauses):
-            self._sat.add_clause(clauses[self._clauses_fed])
-            self._clauses_fed += 1
-        if len(result.atom_to_var) > self._atoms_seen:
-            atom_items = list(result.atom_to_var.items())
+        if self._clauses_fed < len(clauses):
+            self._sat.add_clauses(clauses[self._clauses_fed :])
+            self._clauses_fed = len(clauses)
+        atom_to_var = result.atom_to_var
+        if len(atom_to_var) > self._atoms_seen:
             # Advance the counter per atom: if partitioning rejects one (e.g.
             # an unsupported Boolean predicate), atoms after it must not be
             # silently skipped — the next flush retries and re-raises.
-            while self._atoms_seen < len(atom_items):
-                atom, var = atom_items[self._atoms_seen]
+            for atom, var in islice(atom_to_var.items(), self._atoms_seen, None):
                 if self._core is not None:
                     self._core.register_atom(atom, var)
                 else:
