@@ -215,7 +215,62 @@ def solver_probes():
             result.verdict.value,
             session.statistics(),
         )
+    probes.update(backend_load_probe())
     return probes
+
+
+#: Passes over the load probe's problem set: fixed work, so its ``seconds``
+#: tracks the load speed (about 0.5 s on a 2-core host), above the 0.1 s
+#: floor of the ``--baseline`` gate.
+LOAD_PROBE_PASSES = 6
+
+
+def backend_load_probe():
+    """Backend load alone: encoded deadlock problems into fresh backends.
+
+    The problems (``circular_wait`` with and without kick-start,
+    ``starved_fanin`` and 20 seeded random deadlock programs, all asked the
+    deadlock question) are encoded up front; the timed region is only
+    ``DpllTBackend.add_all`` — term to CNF, clause load, atom registration.
+    """
+    import random
+
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    from repro.smt.backend import DpllTBackend
+    from repro.verification.session import VerificationSession, resolve_mode
+    from repro.workloads.generators import circular_wait, random_program, starved_fanin
+
+    programs = [circular_wait(n, kick) for n in (2, 3, 4) for kick in (False, True)]
+    programs += [starved_fanin(n) for n in (2, 3, 4)]
+    programs += [
+        random_program(random.Random(f"deadlock-{index}"), allow_deadlock=True)
+        for index in range(20)
+    ]
+    options, properties = resolve_mode("deadlock", None, None)
+    problems = [
+        VerificationSession.from_program(
+            program, options=options, properties=properties, on_deadlock="static"
+        ).problem.assertions()
+        for program in programs
+    ]
+    start = time.perf_counter()
+    for _ in range(LOAD_PROBE_PASSES):
+        for assertions in problems:
+            DpllTBackend().add_all(assertions)
+    seconds = time.perf_counter() - start
+    loads = LOAD_PROBE_PASSES * len(problems)
+    probe = {
+        "seconds": round(seconds, 3),
+        "problems": len(problems),
+        "loads": loads,
+        "assertions": sum(len(a) for a in problems),
+        "ms_per_problem": round(1000 * seconds / loads, 3),
+    }
+    print(
+        f"  probe backend_load_deadlock: {seconds:.2f}s, "
+        f"{probe['ms_per_problem']:.2f} ms/problem ({loads} loads)"
+    )
+    return {"backend_load_deadlock": probe}
 
 
 def service_probes():
