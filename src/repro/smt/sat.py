@@ -583,7 +583,8 @@ class SatSolver:
             if tautology:
                 continue
 
-            # Drop literals already false at level 0; skip satisfied clauses.
+            # Drop literals already false at level 0; a literal true there
+            # satisfies the clause, which the break (skipping else) drops.
             filtered: List[int] = []
             for lit in unique:
                 val = assign[lit] if lit > 0 else -assign[-lit]

@@ -153,7 +153,7 @@ def _replace(term: Term, old: Term, new: Term) -> Term:
 
 
 def _lift_ite(term: Term) -> Term:
-    if term.kind in ("and", "or", "not", "implies", "iff"):
+    if term.kind in _LIFT_CONNECTIVES:
         new_args = tuple(_lift_ite(a) for a in term.args)
         if new_args == term.args:
             return term
