@@ -357,6 +357,8 @@ class TheoryCore(TheoryListener):
         # Memoised IDL edge groups per atom phase (see idl.edge_groups):
         # the graph edges of an assertion are a pure function of the atom
         # and its polarity, and re-deriving them dominated assert time.
+        # Registered atoms fill both phases at registration; any other
+        # difference atom on its first assertion.
         self._idl_edges: Dict[Tuple[int, bool], list] = {}
         # One (arith_height, euf_height) frame per streamed literal.
         self._frames: List[Tuple[int, int]] = []
@@ -405,18 +407,23 @@ class TheoryCore(TheoryListener):
         Non-difference atoms (which will migrate the lane to LIA the moment
         they are asserted) and atoms whose negation is not a conjunctive
         constraint simply stay unregistered — propagation is an
-        optimisation, never a requirement.  The negation of a difference
-        constraint is again one, so only the positive phase is tested.
+        optimisation, never a requirement.  Only the positive phase is
+        linearised: the solver derives both phase edges from it, and they
+        become the phases' memoised edge groups, so asserting a registered
+        atom never translates it again.  The negative ``LinearLe`` itself
+        is built only if that phase is asserted (``_constraints_for``).
         """
         try:
             positive = self._constraints_for(var, True)
         except SolverError:
             return
-        if len(positive) != 1 or not positive[0].is_difference:
+        if len(positive) != 1:
             return
-        (negative,) = self._constraints_for(var, False)
         assert isinstance(self._arith, IncrementalDifferenceLogic)
-        self._arith.register_atom(var, positive[0], negative)
+        edges = self._arith.register_atom(var, positive[0])
+        if edges is not None:
+            self._idl_edges[(var, True)] = [[edges[0]]]
+            self._idl_edges[(var, False)] = [[edges[1]]]
 
     @property
     def num_arith_atoms(self) -> int:
@@ -480,9 +487,10 @@ class TheoryCore(TheoryListener):
         self._frames.append((self._arith.num_asserted, self._euf.num_asserted))
         conflict: Optional[List[int]] = None
         if var in self._arith_vars:
-            constraints = self._constraints_for(var, lit > 0)
+            positive = lit > 0
+            key = (var, positive)
+            constraints = self._constraints_for(var, positive)
             if not self._arith_is_lia:
-                key = (var, lit > 0)
                 needs_lia = self._needs_lia.get(key)
                 if needs_lia is None:
                     needs_lia = any(not c.is_difference for c in constraints)
@@ -492,7 +500,6 @@ class TheoryCore(TheoryListener):
             if self._arith_is_lia:
                 conflict = self._arith.assert_lit(lit, constraints)
             else:
-                key = (var, lit > 0)
                 edges = self._idl_edges.get(key)
                 if edges is None:
                     edges = edge_groups(lit, constraints)

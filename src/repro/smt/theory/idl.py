@@ -29,9 +29,9 @@ materialised reasons stay sound for conflict analysis.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.smt.linear import LinearLe
@@ -41,7 +41,6 @@ __all__ = [
     "DifferenceLogicSolver",
     "IncrementalDifferenceLogic",
     "TheoryResult",
-    "atom_edge",
     "edge_groups",
 ]
 
@@ -62,12 +61,23 @@ class TheoryResult:
     conflict: Optional[List[int]] = None
 
 
-@dataclass(slots=True)
 class _Edge:
-    src: str
-    dst: str
-    weight: int
-    tag: int  # index of the originating constraint
+    """Graph edge ``src -> dst`` of weight ``weight`` (``dst - src <= weight``).
+
+    ``tag`` names the originating constraint: its index in the batch
+    solver, its literal in the incremental one.
+    """
+
+    __slots__ = ("src", "dst", "weight", "tag")
+
+    def __init__(self, src: str, dst: str, weight: int, tag: int) -> None:
+        self.src = src
+        self.dst = dst
+        self.weight = weight
+        self.tag = tag
+
+    def __repr__(self) -> str:
+        return f"_Edge({self.src!r}, {self.dst!r}, {self.weight}, {self.tag})"
 
 
 class DifferenceLogicSolver:
@@ -100,28 +110,12 @@ class DifferenceLogicSolver:
             self.assert_constraint(constraint)
 
     def _constraint_edges(self, constraint: LinearLe, tag: int) -> List[_Edge]:
-        if not constraint.is_difference:
-            raise SolverError(
-                f"not a difference constraint: {constraint} "
-                "(use LinearIntSolver for general LIA)"
-            )
-        coeffs = dict(constraint.expr.coeffs)
-        bound = constraint.bound
-        if len(coeffs) == 0:
-            if bound >= 0:
-                return []
+        edges = _edges_of(constraint, tag)
+        if edges is None:
             # 0 <= bound < 0: inconsistent by itself.  Encode as a tiny
             # negative self-loop on ZERO so the cycle detector reports it.
-            return [_Edge(ZERO, ZERO, bound, tag)]
-        if len(coeffs) == 1:
-            ((var, coeff),) = coeffs.items()
-            if coeff == 1:  # x <= bound
-                return [_Edge(ZERO, var, bound, tag)]
-            return [_Edge(var, ZERO, bound, tag)]  # -x <= bound
-        (pos_var,) = [v for v, c in coeffs.items() if c == 1]
-        (neg_var,) = [v for v, c in coeffs.items() if c == -1]
-        # pos - neg <= bound   ==>   edge neg -> pos with weight bound.
-        return [_Edge(neg_var, pos_var, bound, tag)]
+            return [_Edge(ZERO, ZERO, constraint.bound, tag)]
+        return edges
 
     # -- checking ----------------------------------------------------------------
 
@@ -207,31 +201,32 @@ class DifferenceLogicSolver:
 
 
 def _edges_of(constraint: LinearLe, tag: int) -> Optional[List[_Edge]]:
-    """Edges of a difference constraint, or ``None`` for an infeasible constant.
+    """The graph edges of a difference constraint, tagged ``tag``.
 
-    Mirrors :meth:`DifferenceLogicSolver._constraint_edges` but reports the
-    ``0 <= negative`` case as ``None`` (immediate conflict) instead of a
-    synthetic self-loop, which the incremental relaxation has no use for.
+    ``x - y <= c`` is one edge ``y -> x`` of weight ``c``, ``x <= c`` one
+    edge ``ZERO -> x`` and ``-x <= c`` one edge ``x -> ZERO``.  A constant
+    constraint has no edge: ``[]`` when it holds, ``None`` (an immediate
+    conflict) when it does not.
     """
     if not constraint.is_difference:
         raise SolverError(
             f"not a difference constraint: {constraint} "
-            "(use the incremental LIA solver for general constraints)"
+            "(use the LIA solvers for general constraints)"
         )
-    coeffs = dict(constraint.expr.coeffs)
+    coeffs = constraint.expr.coeffs
     bound = constraint.bound
-    if len(coeffs) == 0:
-        if bound >= 0:
-            return []
-        return None
+    if not coeffs:
+        return [] if bound >= 0 else None
     if len(coeffs) == 1:
-        ((var, coeff),) = coeffs.items()
+        ((var, coeff),) = coeffs
         if coeff == 1:
             return [_Edge(ZERO, var, bound, tag)]
         return [_Edge(var, ZERO, bound, tag)]
-    (pos_var,) = [v for v, c in coeffs.items() if c == 1]
-    (neg_var,) = [v for v, c in coeffs.items() if c == -1]
-    return [_Edge(neg_var, pos_var, bound, tag)]
+    # Two variables with opposite unit coefficients: pos - neg <= bound.
+    (first, coeff), (second, _) = coeffs
+    if coeff == 1:
+        return [_Edge(second, first, bound, tag)]
+    return [_Edge(first, second, bound, tag)]
 
 
 def edge_groups(
@@ -244,39 +239,29 @@ def edge_groups(
     constraint tuple for a given literal — so callers on the hot path
     memoise this per ``(atom, phase)`` and hand the result to
     :meth:`IncrementalDifferenceLogic.assert_lit` via its ``edges``
-    parameter.  Reusing the same :class:`_Edge` objects across assertions
-    is safe: the undo stack removes edges by LIFO identity, and a literal
-    is never on the trail twice.
+    parameter.  (A registered atom's groups are the phase edges
+    :meth:`~IncrementalDifferenceLogic.register_atom` returns.)  Reusing
+    the same :class:`_Edge` objects across assertions is safe: the undo
+    stack removes edges by LIFO identity, and a literal is never on the
+    trail twice.
     """
     return [_edges_of(constraint, lit) for constraint in constraints]
 
 
-def atom_edge(constraint: LinearLe) -> Optional[Tuple[str, str, int]]:
-    """The single ``(src, dst, weight)`` edge of a difference constraint.
-
-    Returns ``None`` when the constraint does not reduce to exactly one
-    graph edge (constant constraints and non-difference shapes) — such
-    atoms are not eligible for bound propagation.
-    """
-    if not constraint.is_difference:
-        return None
-    edges = _edges_of(constraint, 0)
-    if edges is None or len(edges) != 1:
-        return None
-    edge = edges[0]
-    return (edge.src, edge.dst, edge.weight)
-
-
-@dataclass(slots=True)
 class _IdlFrame:
     """Undo record of one ``assert_lit`` call."""
 
-    lit: int
-    constraints: Tuple[LinearLe, ...]
-    edges_before: int
-    #: Potentials changed by this frame's relaxations: node -> value before.
-    #: Allocated lazily — most assertions never violate an edge.
-    old_pot: Optional[Dict[str, int]] = None
+    __slots__ = ("lit", "constraints", "edges_before", "old_pot")
+
+    def __init__(
+        self, lit: int, constraints: Tuple[LinearLe, ...], edges_before: int
+    ) -> None:
+        self.lit = lit
+        self.constraints = constraints
+        self.edges_before = edges_before
+        #: Potentials changed by this frame's relaxations: node -> value
+        #: before.  Allocated lazily — most assertions never violate an edge.
+        self.old_pot: Optional[Dict[str, int]] = None
 
 
 class IncrementalDifferenceLogic:
@@ -300,12 +285,15 @@ class IncrementalDifferenceLogic:
     instead of rebuilding the solver per candidate model.
 
     With ``propagate=True`` (the default) and difference atoms registered
-    via :meth:`register_atom`, every edge insertion additionally runs a
-    Cotton–Maler-style entailment pass: one forward and one backward
-    Dijkstra over the *reduced* edge weights (non-negative, because the
-    potential function is feasible) give the shortest paths through the new
-    edge, and any registered, unasserted atom whose bound those paths prove
-    is queued for :meth:`take_propagations`.
+    via :meth:`register_atom`, every assertion that *tightens* the potential
+    function additionally runs a Cotton–Maler-style entailment pass over
+    each edge it inserted: one forward and one backward Dijkstra over the
+    *reduced* edge weights (non-negative, because the potential function is
+    feasible) give the shortest paths through that edge, and any
+    registered, unasserted atom whose bound those paths prove is queued for
+    :meth:`take_propagations`.  Propagation is sound but deliberately
+    incomplete: an edge that leaves the potentials untouched runs no pass,
+    even when it closes a new entailing path (see :meth:`assert_lit`).
     """
 
     def __init__(self, propagate: bool = True) -> None:
@@ -316,15 +304,14 @@ class IncrementalDifferenceLogic:
         self._frames: List[_IdlFrame] = []
         # Bound propagation state.
         self._propagate_enabled = propagate
-        #: var -> (pos_edge, neg_edge); each phase is a (src, dst, weight)
-        #: triple meaning "the phase holds iff dist(src -> dst) <= weight".
-        self._atoms: Dict[
-            int, Tuple[Optional[Tuple[str, str, int]], Optional[Tuple[str, str, int]]]
-        ] = {}
-        #: (src, dst) -> [(lit, bound), ...]: the propagation pass iterates
-        #: reached node pairs when that is cheaper than scanning all atoms.
-        self._atom_index: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
-        self._atom_phases = 0
+        #: var -> (positive, negative) phase edge, each tagged with its
+        #: literal: the phase holds iff dist(src -> dst) <= weight.
+        self._atoms: Dict[int, Tuple[_Edge, _Edge]] = {}
+        #: Every phase edge in registration order (the scan branch).
+        self._phases: List[_Edge] = []
+        #: src -> dst -> phase edges: the propagation pass iterates reached
+        #: node pairs when that is cheaper than scanning every phase.
+        self._atom_index: Dict[str, Dict[str, List[_Edge]]] = {}
         self._max_bound = 0  # max phase bound: caps the propagation search
         self._asserted_vars: set = set()
         #: Entailed-but-unreported literals with the edge-count basis their
@@ -385,12 +372,15 @@ class IncrementalDifferenceLogic:
                         frame.old_pot = None
                     return conflict
         if self._propagate_enabled and self._atoms and frame.old_pot:
-            # Only edges that *tightened* the potential function can create
-            # new entailments worth chasing: a non-relaxing edge is already
-            # satisfied by ``pot``, so every registered atom it could prove
-            # was provable before (in particular, edges asserted for
-            # literals this solver itself propagated never re-trigger the
-            # pass — their constraints are entailed, hence never violated).
+            # The pass runs only when the frame *tightened* the potential
+            # function.  That is a cost choice, not an entailment argument:
+            # a non-relaxing edge can still close a new entailing path
+            # (register z - x <= 5, assert z - y <= 0, then y - x <= 5 —
+            # the last edge is satisfied by ``pot`` and runs no pass, so
+            # the now-entailed atom goes unreported).  Propagation is thus
+            # sound but incomplete; the SAT search decides such atoms.
+            # Edges of literals this solver itself propagated are entailed,
+            # hence never violated, so they never re-trigger the pass.
             for edge in self._edges[frame.edges_before:]:
                 self._propagate_through(edge)
         return None
@@ -430,30 +420,32 @@ class IncrementalDifferenceLogic:
     # -- bound propagation ------------------------------------------------------
 
     def register_atom(
-        self,
-        var: int,
-        positive: Optional[LinearLe],
-        negative: Optional[LinearLe],
-    ) -> bool:
+        self, var: int, positive: LinearLe
+    ) -> Optional[Tuple[_Edge, _Edge]]:
         """Register SAT variable ``var`` as a difference atom for propagation.
 
-        ``positive`` / ``negative`` are the :class:`LinearLe` constraints of
-        the two phases.  Returns ``True`` when at least one phase reduces to
-        a single graph edge and the atom was registered.
+        ``positive`` is the :class:`LinearLe` of the positive phase; the
+        negative phase is its integer negation ``-e <= -b - 1``, which is
+        the same graph edge reversed with weight ``-b - 1``.  Returns the
+        ``(positive, negative)`` phase edges, tagged ``var`` / ``-var`` —
+        callers may hand them to :meth:`assert_lit` as the phases' edge
+        groups — or ``None`` (nothing registered) when ``positive`` is not a
+        single graph edge (constant and non-difference constraints).
         """
-        pos = atom_edge(positive) if positive is not None else None
-        neg = atom_edge(negative) if negative is not None else None
-        if pos is None and neg is None:
-            return False
+        edges = _edges_of(positive, var) if positive.is_difference else None
+        if not edges:
+            return None
+        (pos,) = edges
+        neg = _Edge(pos.dst, pos.src, -pos.weight - 1, -var)
         self._atoms[var] = (pos, neg)
-        for lit, info in ((var, pos), (-var, neg)):
-            if info is not None:
-                src, dst, bound = info
-                self._atom_index.setdefault((src, dst), []).append((lit, bound))
-                if bound > self._max_bound:
-                    self._max_bound = bound
-                self._atom_phases += 1
-        return True
+        for phase in (pos, neg):
+            self._phases.append(phase)
+            self._atom_index.setdefault(phase.src, {}).setdefault(
+                phase.dst, []
+            ).append(phase)
+            if phase.weight > self._max_bound:
+                self._max_bound = phase.weight
+        return pos, neg
 
     @property
     def num_registered_atoms(self) -> int:
@@ -500,12 +492,10 @@ class IncrementalDifferenceLogic:
         basis = self._prop_basis.get(lit)
         if basis is None:
             raise SolverError(f"literal {lit} was not propagated by IDL")
-        phases = self._atoms.get(abs(lit))
-        info = None if phases is None else (phases[0] if lit > 0 else phases[1])
-        if info is None:  # pragma: no cover - basis implies registration
-            raise SolverError(f"literal {lit} is not a registered IDL atom")
-        src, dst, bound = info
-        tags = self._entailing_path(self._edges[:basis], src, dst, bound)
+        phase = self._atoms[abs(lit)][0 if lit > 0 else 1]
+        tags = self._entailing_path(
+            self._edges[:basis], phase.src, phase.dst, phase.weight
+        )
         return sorted(set(tags))
 
     def _entailing_path(
@@ -529,7 +519,7 @@ class IncrementalDifferenceLogic:
         pred: Dict[str, _Edge] = {}
         heap: List[Tuple[int, str]] = [(0, src)]
         while heap:
-            base, node = heapq.heappop(heap)
+            base, node = heappop(heap)
             if base > dist.get(node, base):
                 continue
             if node == dst:
@@ -540,7 +530,7 @@ class IncrementalDifferenceLogic:
                 if candidate < dist.get(edge.dst, candidate + 1):
                     dist[edge.dst] = candidate
                     pred[edge.dst] = edge
-                    heapq.heappush(heap, (candidate, edge.dst))
+                    heappush(heap, (candidate, edge.dst))
         if dst not in dist:
             raise SolverError("IDL explain: literal is not entailed")
         # Undoing the potential shift recovers the real path weight.
@@ -560,84 +550,125 @@ class IncrementalDifferenceLogic:
         Only paths using the new edge can *newly* satisfy a bound, so one
         forward Dijkstra from its target and one backward Dijkstra from its
         source (over the non-negative reduced weights induced by the
-        feasible potentials) cover every fresh entailment.
+        feasible potentials) cover every fresh entailment through it.  The
+        searches are kept whole: their discovery order is the emission
+        order, which steers the SAT search.
         """
         pot = self._pot
-        u, v, w = new_edge.src, new_edge.dst, new_edge.weight
+        u, v = new_edge.src, new_edge.dst
         # Entailment needs rd_bwd(s) + rd_fwd(t) <= c + pot(s) - pot(t) - rw
         # for some registered phase (s, t, c); reduced distances are
         # non-negative, so an upper bound on the right-hand side caps both
         # searches (and a negative cap means no atom can possibly be
         # proven).  max(c) + pot-range is a cheap sound overestimate.
-        reduced_weight = pot[u] + w - pot[v]
+        reduced_weight = pot[u] + new_edge.weight - pot[v]
         values = pot.values()
         cap = self._max_bound + max(values) - min(values) - reduced_weight
         if cap < 0:
             return
-        fwd = self._dijkstra(new_edge.dst, backward=False, cap=cap)
-        bwd = self._dijkstra(new_edge.src, backward=True, cap=cap)
+        fwd = self._forward_distances(v, cap)
+        bwd = self._backward_distances(u, cap)
         basis = len(self._edges)
+        asserted = self._asserted_vars
+        pending = self._pending
+        pending_lits = self._pending_lits
+        reported = self._prop_basis
+        # The real weight of the path s ~> u -> v ~> t undoes the potential
+        # shift of both halves: (bwd[s] - pot[s] + pot[u]) + w
+        # + (fwd[t] - pot[v] + pot[t]) = offset(s) + fwd[t] + pot[t], with
+        # offset(s) = bwd[s] - pot[s] + reduced_weight.
+        #
         # The reached regions are usually tiny (relaxations are local), so
         # iterating reached (src, dst) pairs against the atom index often
-        # beats scanning every registered atom; pick whichever is smaller.
-        candidates: List[Tuple[int, str, str, int]] = []
-        if len(fwd) * len(bwd) <= self._atom_phases:
+        # beats scanning every registered phase; pick whichever is smaller.
+        if len(fwd) * len(bwd) <= len(self._phases):
             index = self._atom_index
-            for src in bwd:
-                for dst in fwd:
-                    for lit, bound in index.get((src, dst), ()):
-                        candidates.append((lit, src, dst, bound))
+            for src, to_u in bwd.items():
+                row = index.get(src)
+                if row is None:
+                    continue
+                offset = to_u - pot[src] + reduced_weight
+                for dst, from_v in fwd.items():
+                    phases = row.get(dst)
+                    if phases is None:
+                        continue
+                    distance = offset + from_v + pot[dst]
+                    for phase in phases:
+                        lit = phase.tag
+                        if (
+                            distance <= phase.weight
+                            and abs(lit) not in asserted
+                            and lit not in pending_lits
+                            and lit not in reported
+                        ):
+                            pending.append((lit, basis))
+                            pending_lits.add(lit)
         else:
-            for var, (pos, neg) in self._atoms.items():
-                for lit, info in ((var, pos), (-var, neg)):
-                    if info is not None:
-                        candidates.append((lit, info[0], info[1], info[2]))
-        for lit, src, dst, bound in candidates:
-            if abs(lit) in self._asserted_vars:
-                continue
-            if lit in self._pending_lits or lit in self._prop_basis:
-                continue
-            reduced_to_u = bwd.get(src)
-            reduced_from_v = fwd.get(dst)
-            if reduced_to_u is None or reduced_from_v is None:
-                continue
-            # Undo the potential shift: real = reduced - pot(a) + pot(b).
-            distance = (
-                (reduced_to_u - pot[src] + pot[u])
-                + w
-                + (reduced_from_v - pot[v] + pot[dst])
-            )
-            if distance <= bound:
-                self._pending.append((lit, basis))
-                self._pending_lits.add(lit)
+            for phase in self._phases:
+                src = phase.src
+                to_u = bwd.get(src)
+                if to_u is None:
+                    continue
+                dst = phase.dst
+                from_v = fwd.get(dst)
+                if from_v is None:
+                    continue
+                lit = phase.tag
+                if (
+                    to_u - pot[src] + reduced_weight + from_v + pot[dst]
+                    <= phase.weight
+                    and abs(lit) not in asserted
+                    and lit not in pending_lits
+                    and lit not in reported
+                ):
+                    pending.append((lit, basis))
+                    pending_lits.add(lit)
 
-    def _dijkstra(
-        self, start: str, backward: bool, cap: Optional[int] = None
-    ) -> Dict[str, int]:
-        """Reduced-weight shortest distances from (or to) ``start``.
+    # The reduced weight of an edge ``a -> b`` is ``pot(a) + w - pot(b)``,
+    # non-negative whenever the potential function is feasible — which it
+    # is after every successful assertion.  ``cap`` prunes the searches:
+    # nodes farther than it cannot contribute to any registered atom.
 
-        The reduced weight of an edge ``a -> b`` is ``pot(a) + w - pot(b)``,
-        non-negative whenever the potential function is feasible — which it
-        is after every successful assertion.  ``cap`` prunes the search:
-        nodes farther than it cannot contribute to any registered atom.
-        """
+    def _forward_distances(self, start: str, cap: int) -> Dict[str, int]:
+        """Reduced-weight shortest distances from ``start``, up to ``cap``."""
         pot = self._pot
-        adjacency = self._in if backward else self._out
+        out = self._out
         dist: Dict[str, int] = {start: 0}
         heap: List[Tuple[int, str]] = [(0, start)]
         while heap:
-            base, node = heapq.heappop(heap)
-            if base > dist.get(node, base):
+            base, node = heappop(heap)
+            if base > dist[node]:
                 continue
-            for edge in adjacency.get(node, ()):
-                reduced = pot[edge.src] + edge.weight - pot[edge.dst]
-                step = edge.src if backward else edge.dst
-                candidate = base + reduced
-                if cap is not None and candidate > cap:
-                    continue
-                if candidate < dist.get(step, candidate + 1):
-                    dist[step] = candidate
-                    heapq.heappush(heap, (candidate, step))
+            shift = base + pot[node]
+            for edge in out[node]:
+                step = edge.dst
+                candidate = shift + edge.weight - pot[step]
+                if candidate <= cap:
+                    known = dist.get(step)
+                    if known is None or candidate < known:
+                        dist[step] = candidate
+                        heappush(heap, (candidate, step))
+        return dist
+
+    def _backward_distances(self, start: str, cap: int) -> Dict[str, int]:
+        """Reduced-weight shortest distances to ``start``, up to ``cap``."""
+        pot = self._pot
+        into = self._in
+        dist: Dict[str, int] = {start: 0}
+        heap: List[Tuple[int, str]] = [(0, start)]
+        while heap:
+            base, node = heappop(heap)
+            if base > dist[node]:
+                continue
+            shift = base - pot[node]
+            for edge in into[node]:
+                step = edge.src
+                candidate = shift + pot[step] + edge.weight
+                if candidate <= cap:
+                    known = dist.get(step)
+                    if known is None or candidate < known:
+                        dist[step] = candidate
+                        heappush(heap, (candidate, step))
         return dist
 
     # -- queries ----------------------------------------------------------------
@@ -684,17 +715,22 @@ class IncrementalDifferenceLogic:
 
     def _add_edge(self, edge: _Edge, frame: _IdlFrame) -> Optional[List[int]]:
         pot = self._pot
-        for node in (edge.src, edge.dst):
-            if node not in pot:
-                pot[node] = 0
-                self._out[node] = []
-                self._in[node] = []
-        self._out[edge.src].append(edge)
-        self._in[edge.dst].append(edge)
+        src, dst = edge.src, edge.dst
+        if src not in pot:
+            self._add_node(src)
+        if dst not in pot:
+            self._add_node(dst)
+        self._out[src].append(edge)
+        self._in[dst].append(edge)
         self._edges.append(edge)
-        if pot[edge.src] + edge.weight >= pot[edge.dst]:
+        if pot[src] + edge.weight >= pot[dst]:
             return None
         return self._relax(edge, frame)
+
+    def _add_node(self, node: str) -> None:
+        self._pot[node] = 0
+        self._out[node] = []
+        self._in[node] = []
 
     def _relax(self, new_edge: _Edge, frame: _IdlFrame) -> Optional[List[int]]:
         """Repair the potential function after inserting a violated edge."""

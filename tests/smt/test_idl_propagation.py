@@ -22,11 +22,7 @@ from test_online_offline import _random_assertions
 from repro.smt.dpllt import CheckResult, DpllTEngine
 from repro.smt.linear import LinearExpr, LinearLe
 from repro.smt.terms import IntVal, IntVar, Le, Lt, Or
-from repro.smt.theory.idl import (
-    DifferenceLogicSolver,
-    IncrementalDifferenceLogic,
-    atom_edge,
-)
+from repro.smt.theory.idl import DifferenceLogicSolver, IncrementalDifferenceLogic
 from repro.utils.errors import SolverError
 
 
@@ -50,9 +46,9 @@ class TestUnitPropagation:
     def _chain_solver(self):
         idl = IncrementalDifferenceLogic()
         # atom 10: a - c <= 0  /  c - a <= -1
-        idl.register_atom(10, _diff("a", "c", 0), _diff("c", "a", -1))
+        idl.register_atom(10, _diff("a", "c", 0))
         # atom 11: c - a <= -3  /  a - c <= 2
-        idl.register_atom(11, _diff("c", "a", -3), _diff("a", "c", 2))
+        idl.register_atom(11, _diff("c", "a", -3))
         return idl
 
     def test_entailed_atoms_are_emitted_with_valid_explanations(self):
@@ -84,7 +80,7 @@ class TestUnitPropagation:
 
     def test_asserted_atoms_are_skipped(self):
         idl = IncrementalDifferenceLogic()
-        idl.register_atom(10, _diff("a", "c", 0), _diff("c", "a", -1))
+        idl.register_atom(10, _diff("a", "c", 0))
         assert idl.assert_lit(10, [_diff("a", "c", 0)]) is None
         idl.assert_lit(1, [_diff("a", "b", -1)])
         idl.assert_lit(2, [_diff("b", "c", -1)])
@@ -122,21 +118,41 @@ class TestUnitPropagation:
         for edge in idl._edges[: idl._frames[-1].edges_before]:
             assert pot[edge.src] + edge.weight >= pot[edge.dst]
 
-    def test_atom_edge_shapes(self):
-        assert atom_edge(_diff("x", "y", 3)) == ("y", "x", 3)
+    def test_non_relaxing_edges_run_no_pass(self):
+        """Propagation is sound but incomplete, and pinned as such: the
+        pass runs only when an assertion tightens the potentials.  Here
+        both edges are satisfied by the all-zero potentials, so z - x <= 5
+        becomes entailed (z - y <= 0, y - x <= 5) but is never reported.
+        Making the pass complete would move the SAT counters; it is a
+        deliberate change, not a side effect of a perf refactor."""
+        idl = IncrementalDifferenceLogic()
+        idl.register_atom(10, _diff("z", "x", 5))
+        assert idl.assert_lit(1, [_diff("z", "y", 0)]) is None
+        assert idl.assert_lit(2, [_diff("y", "x", 5)]) is None
+        assert idl.take_propagations() == []
+        _assert_entailed([_diff("z", "y", 0), _diff("y", "x", 5)], _diff("z", "x", 5))
+
+    def test_phase_edge_shapes(self):
+        def shapes(var, constraint):
+            edges = IncrementalDifferenceLogic().register_atom(var, constraint)
+            return [(e.src, e.dst, e.weight, e.tag) for e in edges]
+
+        # x - y <= 3 / its negation y - x <= -4: the same edge reversed.
+        assert shapes(4, _diff("x", "y", 3)) == [
+            ("y", "x", 3, 4),
+            ("x", "y", -4, -4),
+        ]
         upper = LinearLe(LinearExpr.from_dict({"x": 1}), 7)
-        assert atom_edge(upper) == ("$zero", "x", 7)
-        constant = LinearLe(LinearExpr.from_dict({}), 1)
-        assert atom_edge(constant) is None
-        non_diff = LinearLe(LinearExpr.from_dict({"x": 2, "y": -1}), 0)
-        assert atom_edge(non_diff) is None
+        assert shapes(5, upper) == [("$zero", "x", 7, 5), ("x", "$zero", -8, -5)]
 
     def test_register_atom_rejects_edgeless_atoms(self):
         idl = IncrementalDifferenceLogic()
         constant = LinearLe(LinearExpr.from_dict({}), 1)
-        assert idl.register_atom(5, constant, None) is False
+        assert idl.register_atom(5, constant) is None
+        non_diff = LinearLe(LinearExpr.from_dict({"x": 2, "y": -1}), 0)
+        assert idl.register_atom(7, non_diff) is None
         assert idl.num_registered_atoms == 0
-        assert idl.register_atom(6, _diff("x", "y", 0), constant) is True
+        assert idl.register_atom(6, _diff("x", "y", 0)) is not None
         assert idl.num_registered_atoms == 1
 
 
@@ -154,8 +170,7 @@ class TestRandomizedStreams:
                 x, y = rng.sample(names, 2)
                 bound = rng.randint(-3, 3)
                 positive = _diff(x, y, bound)
-                negative = positive.negated()
-                if idl.register_atom(var, positive, negative):
+                if idl.register_atom(var, positive):
                     atoms[var] = positive
             trail = []  # (lit, constraint)
             next_lit = 1

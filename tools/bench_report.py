@@ -216,6 +216,7 @@ def solver_probes():
             session.statistics(),
         )
     probes.update(backend_load_probe())
+    probes.update(idl_check_probe())
     return probes
 
 
@@ -224,19 +225,20 @@ def solver_probes():
 #: floor of the ``--baseline`` gate.
 LOAD_PROBE_PASSES = 6
 
+#: Passes of the IDL check probe: fixed work of about 0.4 s on a 2-core
+#: host, so its ``seconds`` sits above the ``--baseline`` gate's floor.
+IDL_PROBE_PASSES = 5
 
-def backend_load_probe():
-    """Backend load alone: encoded deadlock problems into fresh backends.
 
-    The problems (``circular_wait`` with and without kick-start,
-    ``starved_fanin`` and 20 seeded random deadlock programs, all asked the
-    deadlock question) are encoded up front; the timed region is only
-    ``DpllTBackend.add_all`` — term to CNF, clause load, atom registration.
+def _deadlock_problems():
+    """The 29 encoded deadlock questions the backend probes run on.
+
+    ``circular_wait`` with and without kick-start, ``starved_fanin`` and
+    20 seeded random deadlock programs, all asked the deadlock question.
     """
     import random
 
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    from repro.smt.backend import DpllTBackend
     from repro.verification.session import VerificationSession, resolve_mode
     from repro.workloads.generators import circular_wait, random_program, starved_fanin
 
@@ -247,12 +249,25 @@ def backend_load_probe():
         for index in range(20)
     ]
     options, properties = resolve_mode("deadlock", None, None)
-    problems = [
+    return [
         VerificationSession.from_program(
             program, options=options, properties=properties, on_deadlock="static"
-        ).problem.assertions()
+        ).problem
         for program in programs
     ]
+
+
+def backend_load_probe():
+    """Backend load alone: encoded deadlock problems into fresh backends.
+
+    The problems (:func:`_deadlock_problems`) are encoded up front; the
+    timed region is only ``DpllTBackend.add_all`` — term to CNF, clause
+    load, atom registration.
+    """
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    from repro.smt.backend import DpllTBackend
+
+    problems = [problem.assertions() for problem in _deadlock_problems()]
     start = time.perf_counter()
     for _ in range(LOAD_PROBE_PASSES):
         for assertions in problems:
@@ -271,6 +286,52 @@ def backend_load_probe():
         f"{probe['ms_per_problem']:.2f} ms/problem ({loads} loads)"
     )
     return {"backend_load_deadlock": probe}
+
+
+def idl_check_probe():
+    """The solve alone on the load probe's problems, where IDL dominates.
+
+    Every pass loads each problem (property excluded) into a fresh
+    backend untimed, then times only ``backend.check(negated property)``
+    (a plain ``check()`` where static analysis left no property).
+    ``idl_propagations`` sums the IDL lane's emissions over all checks:
+    the search is deterministic, so it must not move under a change that
+    claims to leave the lane's output alone.
+    """
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    from repro.smt.backend import DpllTBackend
+
+    problems = [
+        (
+            problem.assertions(include_property=False),
+            [problem.negated_property] if problem.negated_property is not None else [],
+        )
+        for problem in _deadlock_problems()
+    ]
+    seconds = 0.0
+    propagations = 0
+    for _ in range(IDL_PROBE_PASSES):
+        for assertions, assumptions in problems:
+            backend = DpllTBackend()
+            backend.add_all(assertions)
+            start = time.perf_counter()
+            backend.check(*assumptions)
+            seconds += time.perf_counter() - start
+            propagations += backend.statistics()["theory_propagations_idl"]
+    checks = IDL_PROBE_PASSES * len(problems)
+    probe = {
+        "seconds": round(seconds, 3),
+        "problems": len(problems),
+        "checks": checks,
+        "idl_propagations": propagations,
+        "ms_per_problem": round(1000 * seconds / checks, 3),
+    }
+    print(
+        f"  probe idl_check_deadlock: {seconds:.2f}s, "
+        f"{probe['ms_per_problem']:.2f} ms/problem ({checks} checks), "
+        f"{propagations} IDL propagations"
+    )
+    return {"idl_check_deadlock": probe}
 
 
 def service_probes():
