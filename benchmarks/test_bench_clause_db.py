@@ -48,7 +48,7 @@ import pytest
 from repro.program.interpreter import run_program
 from repro.smt import dpllt
 from repro.smt.backend import DpllTBackend
-from repro.smt.dpllt import CheckResult, DpllTEngine
+from repro.smt.dpllt import CheckResult
 from repro.smt.satlegacy import LegacySatSolver
 from repro.smt.terms import IntVal, IntVar, Le, Lt, Or
 from repro.verification.session import verify_many
@@ -277,10 +277,11 @@ def test_idl_propagation_converts_conflicts_to_propagations(table_printer):
 
     results = {}
     for label, flag in (("on", True), ("off", False)):
-        engine = DpllTEngine(terms, idl_propagation=flag)
+        backend = DpllTBackend(idl_propagation=flag)
+        backend.add_all(terms)
         start = time.perf_counter()
-        verdict = engine.check()
-        results[label] = (time.perf_counter() - start, verdict, engine.stats)
+        verdict = backend.check()
+        results[label] = (time.perf_counter() - start, verdict, backend.engine.stats)
 
     on_seconds, on_verdict, on_stats = results["on"]
     off_seconds, off_verdict, off_stats = results["off"]

@@ -23,24 +23,25 @@ from repro.encoding.variables import match_var
 from repro.encoding.witness import decode_witness
 from repro.program import run_program
 from repro.smt import And, CheckResult, Eq, IntVal, Not
-from repro.smt.dpllt import DpllTEngine
+from repro.smt.backend import DpllTBackend
 from repro.verification import VerificationSession
 from repro.workloads import figure1_program, racy_fanin
 
 
 def seed_style_enumerate(trace, limit=None):
-    """The seed architecture: one encode, then a cold engine per check."""
+    """The seed architecture: one encode, then a cold backend per check."""
     problem = TraceEncoder().encode(trace, properties=[])
     assertions = list(problem.assertions(include_property=False))
     pairings = []
     iterations = 0
     while limit is None or len(pairings) < limit:
-        engine = DpllTEngine(assertions)
-        result = engine.check()
-        iterations += engine.stats.iterations
+        backend = DpllTBackend()
+        backend.add_all(assertions)
+        result = backend.check()
+        iterations += backend.engine.stats.iterations
         if result is not CheckResult.SAT:
             break
-        witness = decode_witness(problem, engine.model())
+        witness = decode_witness(problem, backend.model())
         pairings.append(dict(witness.matching))
         assertions.append(
             Not(

@@ -4,8 +4,8 @@ Executions" (Fischer, Mercer, Rungta; PPoPP 2011).
 The package is organised bottom-up:
 
 * :mod:`repro.smt` — a from-scratch SMT solving stack (CDCL SAT core,
-  difference-logic / LIA / EUF theory solvers, one-shot and *incremental*
-  DPLL(T), SMT-LIB export) behind a pluggable
+  difference-logic / LIA / EUF theory solvers, an *incremental* DPLL(T)
+  engine, SMT-LIB export) behind a pluggable
   :class:`~repro.smt.backend.SolverBackend` registry, standing in for the
   Yices solver the paper used — or delegating to a real external solver via
   the ``smtlib`` backend.

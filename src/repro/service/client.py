@@ -243,7 +243,6 @@ class ServiceClient:
         seed: int,
         mode: str,
         backend: Optional[str],
-        theory_mode: Optional[str],
         timeout_s: Optional[float],
         **extra,
     ) -> Dict[str, object]:
@@ -252,8 +251,6 @@ class ServiceClient:
             spec["params"] = params
         if backend is not None:
             spec["backend"] = backend
-        if theory_mode is not None:
-            spec["theory_mode"] = theory_mode
         if timeout_s is not None:
             spec["timeout_s"] = timeout_s
         spec.update({key: value for key, value in extra.items() if value is not None})
@@ -266,7 +263,6 @@ class ServiceClient:
         seed: int = 0,
         mode: str = "safety",
         backend: Optional[str] = None,
-        theory_mode: Optional[str] = None,
         timeout_s: Optional[float] = None,
         **extra,
     ) -> VerificationResult:
@@ -274,7 +270,7 @@ class ServiceClient:
         payload = self._call(
             "verify",
             self._spec(
-                workload, params, seed, mode, backend, theory_mode, timeout_s, **extra
+                workload, params, seed, mode, backend, timeout_s, **extra
             ),
         )
         return protocol.payload_to_result(payload["result"])
@@ -300,7 +296,6 @@ class ServiceClient:
         seed: int = 0,
         limit: Optional[int] = None,
         backend: Optional[str] = None,
-        theory_mode: Optional[str] = None,
         timeout_s: Optional[float] = None,
     ) -> List[Dict[int, int]]:
         """All admissible send/receive matchings of the workload's trace."""
@@ -312,7 +307,6 @@ class ServiceClient:
                 seed,
                 "safety",
                 backend,
-                theory_mode,
                 timeout_s,
                 limit=limit,
             ),

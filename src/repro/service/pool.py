@@ -4,11 +4,12 @@ Two layers:
 
 * :class:`SessionPool` — an LRU of live
   :class:`~repro.verification.session.VerificationSession` objects keyed by
-  trace fingerprint × encoder options × backend × theory mode, plus
-  properties × mode for batch questions (:class:`PoolKey`).  A pool hit skips encoding entirely and lands on an
-  incremental backend that has already learned the instance; per-entry hit
-  counts and ages are exposed for the service's ``stats`` method, and
-  entries can be invalidated explicitly by fingerprint.
+  trace fingerprint × encoder options × backend, plus properties × mode
+  for batch questions (:class:`PoolKey`).  A pool hit skips encoding
+  entirely and lands on an incremental backend that has already learned
+  the instance; per-entry hit counts and ages are exposed for the
+  service's ``stats`` method, and entries can be invalidated explicitly
+  by fingerprint.
 * :class:`WorkerPool` — long-lived ``multiprocessing`` workers, each owning
   its *own* ``SessionPool``.  Requests are routed by pool-key affinity
   (same key → same worker → warm hit); a request that blows through its
@@ -116,7 +117,6 @@ class PoolKey:
     fingerprint: str
     options: str
     backend: str
-    theory_mode: str
     #: Batch questions only: the property set and mode, which a workload
     #: spec fixes by construction (its trace's assertions, any mode).
     question: str = ""
@@ -127,7 +127,6 @@ class PoolKey:
                 self.fingerprint,
                 self.options,
                 self.backend,
-                self.theory_mode,
                 self.question,
             )
         )
@@ -151,11 +150,24 @@ def build_program(workload: str, params: Optional[Dict[str, object]]) -> Program
     return WORKLOADS[workload].build(args)
 
 
+#: Workload-spec keys that are no longer served: a request naming one gets
+#: an error instead of a silent answer under the defaults.
+_RETIRED_SPEC_KEYS = ("theory_mode", "max_iterations")
+
+#: Accepted ``match_pairs`` values of a workload spec (absent = endpoint).
+_MATCH_PAIRS = (None, "endpoint", "precise")
+
+
 def _request_options(spec: Dict[str, object]) -> EncoderOptions:
+    match_pairs = spec.get("match_pairs")
+    if match_pairs not in _MATCH_PAIRS:
+        raise ServiceError(
+            f"unknown match_pairs {match_pairs!r}; pick 'endpoint' or 'precise'"
+        )
     return EncoderOptions(
         match_strategy=(
             MatchPairStrategy.PRECISE
-            if spec.get("match_pairs") == "precise"
+            if match_pairs == "precise"
             else MatchPairStrategy.ENDPOINT
         ),
         enforce_pair_fifo=bool(spec.get("pair_fifo", False)),
@@ -235,7 +247,6 @@ class SessionPool:
                 {
                     "fingerprint": entry.key.fingerprint[:16],
                     "backend": entry.key.backend,
-                    "theory_mode": entry.key.theory_mode,
                     "hits": entry.hits,
                     "age_s": round(now - entry.created, 3),
                     "idle_s": round(now - entry.last_used, 3),
@@ -268,6 +279,10 @@ class _Executor:
         workload = spec.get("workload")
         if not isinstance(workload, str):
             raise ServiceError("request needs a workload name")
+        for name in _RETIRED_SPEC_KEYS:
+            if name in spec:
+                raise ServiceError(f"request key {name!r} is no longer supported")
+        options = _request_options(spec)
         program = build_program(workload, spec.get("params"))
         seed = int(spec.get("seed", 0))
         run = run_program(program, seed=seed)
@@ -275,14 +290,11 @@ class _Executor:
             trace, run = static_trace(program), None
         else:
             trace = run.trace
-        options = _request_options(spec)
         backend = spec.get("backend") or "dpllt"
-        theory_mode = spec.get("theory_mode")
         key = PoolKey(
             fingerprint=trace_fingerprint(trace),
             options=_options_signature(options),
             backend=str(backend),
-            theory_mode=str(theory_mode or "default"),
         )
         entry = self.pool.get(key)
         if entry is not None:
@@ -291,8 +303,6 @@ class _Executor:
             trace,
             options=options,
             backend=backend,
-            theory_mode=theory_mode,
-            max_solver_iterations=int(spec.get("max_iterations", 200_000)),
             program_run=run,
         )
         self.pool.put(key, session)
@@ -336,7 +346,6 @@ class _Executor:
             fingerprint=question.fingerprint,
             options=question.options,
             backend=f"{spec.name}{list(spec.kwargs)}",
-            theory_mode=str(dict(spec.kwargs).get("theory_mode") or "default"),
             question=f"{question.properties}\x1f{question.mode}",
         )
         entry = self.pool.get(key)
@@ -729,7 +738,6 @@ class WorkerPool:
             str(sorted((request.get("params") or {}).items())),
             str(request.get("seed", 0)),
             str(request.get("backend") or "dpllt"),
-            str(request.get("theory_mode") or "default"),
             str(request.get("match_pairs") or "endpoint"),
             str(bool(request.get("pair_fifo", False))),
         )

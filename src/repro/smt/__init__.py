@@ -11,7 +11,8 @@ must be dependency-free, the package provides the full stack from scratch:
 * :mod:`repro.smt.dimacs` — DIMACS CNF import feeding the SAT core,
 * :mod:`repro.smt.theory` — difference logic, linear integer arithmetic and
   congruence closure theory solvers,
-* :mod:`repro.smt.dpllt` — the lazy DPLL(T) loop (one-shot and incremental),
+* :mod:`repro.smt.dpllt` — the incremental DPLL(T) engine, with the theories
+  integrated online into the SAT search,
 * :mod:`repro.smt.backend` — the :class:`SolverBackend` protocol, registry
   and the in-tree / external-process implementations,
 * :mod:`repro.smt.solver` — the public :class:`Solver` facade,
@@ -50,7 +51,6 @@ from repro.smt.terms import (
     Xor,
 )
 from repro.smt.dimacs import DimacsProblem, load_dimacs, parse_dimacs
-from repro.smt.dpllt import THEORY_MODES
 from repro.smt.models import Model
 from repro.smt.backend import (
     DpllTBackend,
@@ -101,7 +101,6 @@ __all__ = [
     "load_dimacs",
     "parse_dimacs",
     "CheckResult",
-    "THEORY_MODES",
     "Solver",
     "SolverBackend",
     "DpllTBackend",

@@ -164,7 +164,6 @@ class DpllTBackend:
     def __init__(
         self,
         max_iterations: int = 200_000,
-        theory_mode: str = "online",
         reduce_db: bool = True,
         reduce_base: int = DEFAULT_REDUCE_BASE,
         theory_bump: float = DEFAULT_THEORY_BUMP,
@@ -172,7 +171,6 @@ class DpllTBackend:
     ) -> None:
         self._engine = IncrementalDpllTEngine(
             max_iterations=max_iterations,
-            theory_mode=theory_mode,
             reduce_db=reduce_db,
             reduce_base=reduce_base,
             theory_bump=theory_bump,
@@ -203,16 +201,20 @@ class DpllTBackend:
     def check(self, *assumptions: Term) -> CheckResult:
         """Decide the assertions plus ``assumptions``.
 
-        A work cap hit inside a theory (the LIA branch-and-bound node
-        limit) answers ``UNKNOWN`` and names the cap in
+        A work cap that binds — the engine's ``max_iterations`` budget on
+        theory conflicts, or the LIA branch-and-bound node limit inside a
+        theory — answers ``UNKNOWN`` and names the cap in
         :attr:`unknown_reason`; the next check starts clean.
         """
         self.unknown_reason = None
         try:
-            return self._engine.check(*assumptions)
+            result = self._engine.check(*assumptions)
         except ResourceLimitError as exc:
             self.unknown_reason = exc.reason
             return CheckResult.UNKNOWN
+        if result is CheckResult.UNKNOWN and self._engine.budget_exhausted:
+            self.unknown_reason = ResourceLimitError.reason
+        return result
 
     def model(self) -> Model:
         return self._engine.model()
@@ -240,7 +242,6 @@ class DpllTBackend:
             return {}
         stats = self._engine.stats.as_dict()
         stats["checks"] = self._engine.total_checks
-        stats["theory_mode"] = self._engine.theory_mode
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -339,7 +340,6 @@ class SmtLibProcessBackend:
         command: Union[str, Sequence[str], None] = None,
         timeout: float = 60.0,
         max_iterations: Optional[int] = None,  # accepted for factory parity
-        theory_mode: Optional[str] = None,  # accepted for factory parity
         reduce_db: Optional[bool] = None,  # accepted for factory parity
         reduce_base: Optional[int] = None,  # accepted for factory parity
         theory_bump: Optional[float] = None,  # accepted for factory parity
@@ -549,7 +549,6 @@ class SmtLibPipeBackend:
         recycle_after: int = 256,
         logic: str = "ALL",
         max_iterations: Optional[int] = None,  # accepted for factory parity
-        theory_mode: Optional[str] = None,  # accepted for factory parity
         reduce_db: Optional[bool] = None,  # accepted for factory parity
         reduce_base: Optional[int] = None,  # accepted for factory parity
         theory_bump: Optional[float] = None,  # accepted for factory parity
@@ -914,8 +913,9 @@ def register_backend(name: str, factory: BackendFactory, replace: bool = False) 
     """Register a backend factory under ``name``.
 
     The factory is called with the keyword arguments given to
-    :func:`create_backend` (currently ``max_iterations`` and, for the
-    in-tree DPLL(T) backend, ``theory_mode``).
+    :func:`create_backend` (``max_iterations`` and the in-tree DPLL(T)
+    backend's tuning knobs ``reduce_db``, ``reduce_base``, ``theory_bump``
+    and ``idl_propagation``; other backends accept and ignore them).
     """
     if name in _REGISTRY and not replace:
         raise SolverError(f"backend {name!r} is already registered")

@@ -1,9 +1,8 @@
-"""The DPLL(T) engines combining the CDCL SAT core with theory solvers.
+"""The DPLL(T) engine combining the CDCL SAT core with theory solvers.
 
-Two integration styles are provided, selected by ``theory_mode``:
-
-**online** (the default) — the theories ride the SAT search itself through
-the :class:`~repro.smt.sat.TheoryListener` hook: every literal the SAT core
+The theories ride the SAT search itself through the
+:class:`~repro.smt.sat.TheoryListener` hook (the online integration of
+Nieuwenhuis, Oliveras & Tinelli, JACM 2006): every literal the SAT core
 asserts (decision or propagation) is streamed into incremental theory
 solvers (:class:`~repro.smt.theory.euf.IncrementalCongruenceClosure`,
 :class:`~repro.smt.theory.idl.IncrementalDifferenceLogic`,
@@ -12,32 +11,21 @@ trail-backed undo stacks and retract in lockstep with SAT backjumps.
 Theory conflicts are caught on *partial* assignments — after a handful of
 literals instead of after a complete propositional model — and their
 localized explanations are learned with ordinary first-UIP analysis.
-Theory-implied literals (EUF entailments) are propagated back into the
-Boolean search with lazily materialised reason clauses.
+Theory-implied literals (EUF and IDL entailments) are propagated back into
+the Boolean search with lazily materialised reason clauses.
 
-**offline** — the classic *lemmas-on-demand* loop kept for differential
-testing and as the reference semantics:
-
-1. ask the SAT core for a complete propositional model,
-2. translate the model's asserted atoms into theory constraints and check
-   them with freshly built batch theory solvers,
-3. if a theory objects, negate its explanation into a blocking clause and
-   repeat.
-
-Both modes terminate: online inherits CDCL termination (theory conflicts
-are learned clauses over a finite atom vocabulary), offline removes at
-least one propositional model per blocking clause.
+The search terminates because theory conflicts are learned clauses over a
+finite atom vocabulary.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.smt.cnf import TseitinConverter, tseitin
+from repro.smt.cnf import TseitinConverter
 from repro.smt.linear import LinearLe, atom_to_constraints
 from repro.smt.models import Model
 from repro.smt.sat import (
@@ -49,34 +37,17 @@ from repro.smt.sat import (
 )
 from repro.smt.simplify import preprocess
 from repro.smt.terms import Term, free_variables
-from repro.smt.theory.euf import CongruenceClosure, IncrementalCongruenceClosure
-from repro.smt.theory.idl import (
-    DifferenceLogicSolver,
-    IncrementalDifferenceLogic,
-    edge_groups,
-)
-from repro.smt.theory.lia import IncrementalLinearInt, LinearIntSolver
+from repro.smt.theory.euf import IncrementalCongruenceClosure
+from repro.smt.theory.idl import IncrementalDifferenceLogic, edge_groups
+from repro.smt.theory.lia import IncrementalLinearInt
 from repro.utils.errors import SolverError
 
 __all__ = [
     "CheckResult",
-    "DpllTEngine",
     "IncrementalDpllTEngine",
     "SmtStats",
     "TheoryCore",
-    "THEORY_MODES",
 ]
-
-#: Valid values of the ``theory_mode`` knob.
-THEORY_MODES = ("online", "offline")
-
-
-def _validate_theory_mode(mode: str) -> str:
-    if mode not in THEORY_MODES:
-        raise SolverError(
-            f"unknown theory_mode {mode!r}; pick one of {THEORY_MODES}"
-        )
-    return mode
 
 
 class CheckResult(Enum):
@@ -91,12 +62,10 @@ class CheckResult(Enum):
 class SmtStats:
     """Statistics of one DPLL(T) run.
 
-    ``iterations`` counts theory-interaction rounds: offline, the outer
-    model-then-check loop; online, ``1 +`` the number of theory conflicts
-    (each conflict plays the role one blocking-clause iteration used to).
+    ``iterations`` is ``1 +`` the number of theory conflicts; the engine's
+    ``max_iterations`` budget bounds it.
     ``theory_partial_conflicts`` counts the theory conflicts raised on
-    *partial* assignments — the online engine's whole point; offline it is
-    always 0 because the theories only ever see complete models.
+    *partial* assignments, before the SAT core holds a complete model.
     ``explanations`` / ``explanation_literals`` measure the theory
     explanations produced (conflicts and lazy propagation reasons);
     ``as_dict`` derives the average explanation size from them.
@@ -195,99 +164,6 @@ def _reject_atom_kind(kind: str) -> None:
         )
 
 
-def _partition_atom(
-    atom: Term,
-    var: int,
-    arith_atoms: Dict[Term, int],
-    euf_atoms: Dict[Term, int],
-) -> None:
-    """Route ``atom`` into the arithmetic or EUF atom map (or reject it)."""
-    kind = _classify_atom(atom)
-    _reject_atom_kind(kind)
-    if kind == "arith":
-        arith_atoms[atom] = var
-    elif kind == "euf":
-        euf_atoms[atom] = var
-
-
-def _theory_consistency(
-    arith_atoms: Dict[Term, int],
-    euf_atoms: Dict[Term, int],
-    bool_model: Dict[int, bool],
-    constraint_cache: Optional[Dict[Tuple[int, bool], Tuple[LinearLe, ...]]] = None,
-) -> Tuple[Optional[List[int]], Dict[str, int], Dict[str, int]]:
-    """Check a candidate propositional model against the theories (offline).
-
-    Returns ``(conflict, arith_model, euf_model)``.  ``conflict`` is ``None``
-    when the theories agree; otherwise it lists the SAT literals (as asserted
-    by the candidate model) whose conjunction is theory-inconsistent.  When a
-    theory fails to localise its inconsistency the full set of asserted
-    literals of that theory is returned, which is always a valid (if coarse)
-    explanation.
-
-    ``constraint_cache`` memoises the pure atom-to-constraint translation
-    keyed by ``(atom_var, polarity)``; across the many theory iterations of
-    an enumeration workload this is the single hottest path.
-    """
-    arith_model: Dict[str, int] = {}
-    euf_model: Dict[str, int] = {}
-
-    # ---- arithmetic ----
-    constraints: List[LinearLe] = []
-    origin_lits: List[int] = []
-    for atom, var in arith_atoms.items():
-        value = bool_model.get(var)
-        if value is None:
-            continue
-        if constraint_cache is None:
-            translated: Tuple[LinearLe, ...] = tuple(atom_to_constraints(atom, value))
-        else:
-            key = (var, value)
-            cached = constraint_cache.get(key)
-            if cached is None:
-                cached = tuple(atom_to_constraints(atom, value))
-                constraint_cache[key] = cached
-            translated = cached
-        origin = var if value else -var
-        for constraint in translated:
-            constraints.append(constraint)
-            origin_lits.append(origin)
-
-    if constraints:
-        if DifferenceLogicSolver.is_applicable(constraints):
-            arith: object = DifferenceLogicSolver()
-        else:
-            arith = LinearIntSolver()
-        arith.assert_all(constraints)  # type: ignore[attr-defined]
-        outcome = arith.check()  # type: ignore[attr-defined]
-        if not outcome.satisfiable:
-            conflict = sorted({origin_lits[i] for i in outcome.conflict or []})
-            return conflict or sorted(set(origin_lits)), arith_model, euf_model
-        arith_model = outcome.model or {}
-
-    # ---- EUF ----
-    if euf_atoms:
-        euf = CongruenceClosure()
-        euf_origin: List[int] = []
-        for atom, var in euf_atoms.items():
-            value = bool_model.get(var)
-            if value is None:
-                continue
-            lhs, rhs = atom.args
-            if value:
-                euf.assert_equal(lhs, rhs)
-            else:
-                euf.assert_distinct(lhs, rhs)
-            euf_origin.append(var if value else -var)
-        outcome = euf.check()
-        if not outcome.satisfiable:
-            conflict = sorted({euf_origin[i] for i in outcome.conflict or []})
-            return conflict or sorted(set(euf_origin)), arith_model, euf_model
-        euf_model = outcome.model or {}
-
-    return None, arith_model, euf_model
-
-
 def _assemble_model(
     atom_to_var: Dict[Term, int],
     bool_model: Dict[int, bool],
@@ -333,11 +209,7 @@ class TheoryCore(TheoryListener):
     asserted trail retracts.
     """
 
-    def __init__(
-        self,
-        constraint_cache: Optional[Dict[Tuple[int, bool], Tuple[LinearLe, ...]]] = None,
-        idl_propagation: bool = True,
-    ) -> None:
+    def __init__(self, idl_propagation: bool = True) -> None:
         self._euf = IncrementalCongruenceClosure()
         self._idl_propagation = idl_propagation
         self._arith: Union[IncrementalDifferenceLogic, IncrementalLinearInt] = (
@@ -349,7 +221,8 @@ class TheoryCore(TheoryListener):
         self._idl_frozen: Optional[IncrementalDifferenceLogic] = None
         self._arith_vars: Dict[int, Term] = {}
         self._euf_vars: Dict[int, Term] = {}
-        self._cache = constraint_cache if constraint_cache is not None else {}
+        # Memoised atom-to-constraint translation per atom phase.
+        self._cache: Dict[Tuple[int, bool], Tuple[LinearLe, ...]] = {}
         # Memoised "does asserting this phase of this atom force the LIA
         # migration?" — the check walks every constraint of the atom, and
         # on_assert is the single hottest theory entry point.
@@ -572,218 +445,20 @@ class TheoryCore(TheoryListener):
         self.explanation_literals += len(lits)
 
 
-class DpllTEngine:
-    """One-shot DPLL(T) check over a list of assertions.
-
-    The engine is cheap to construct; :class:`repro.smt.solver.Solver`
-    creates a fresh engine per ``check`` call, which keeps the public API
-    simple (push/pop is handled at the assertion-stack level).
-
-    ``theory_mode="online"`` (default) wires the incremental theories into
-    the SAT search; ``theory_mode="offline"`` runs the classic
-    model-then-check lazy loop — kept as the reference semantics for
-    differential testing.
-    """
-
-    def __init__(
-        self,
-        assertions: Sequence[Term],
-        max_iterations: int = 200_000,
-        theory_mode: str = "online",
-        reduce_db: bool = True,
-        reduce_base: int = DEFAULT_REDUCE_BASE,
-        theory_bump: float = DEFAULT_THEORY_BUMP,
-        idl_propagation: bool = True,
-    ) -> None:
-        self._raw_assertions = list(assertions)
-        self._max_iterations = max_iterations
-        self.theory_mode = _validate_theory_mode(theory_mode)
-        self._reduce_db = reduce_db
-        self._reduce_base = reduce_base
-        self._theory_bump = theory_bump
-        self._idl_propagation = idl_propagation
-        self._deadline: Optional[float] = None
-        self.stats = SmtStats()
-        self._model: Optional[Model] = None
-
-    def set_deadline(self, deadline: Optional[float]) -> None:
-        """Bound every later :meth:`check` by a ``time.monotonic`` instant.
-
-        A check that runs past the deadline returns
-        :data:`CheckResult.UNKNOWN` — the wall-clock twin of the
-        ``max_iterations`` budget.  ``None`` clears the bound.
-        """
-        self._deadline = deadline
-
-    def _make_sat_solver(self) -> SatSolver:
-        return SatSolver(
-            reduce_db=self._reduce_db,
-            reduce_base=self._reduce_base,
-            theory_bump=self._theory_bump,
-        )
-
-    # ------------------------------------------------------------------ public
-
-    def check(self) -> CheckResult:
-        """Run the DPLL(T) search to completion."""
-        if self.theory_mode == "offline":
-            return self._check_offline()
-        return self._check_online()
-
-    def model(self) -> Model:
-        """The model found by the last successful :meth:`check`."""
-        if self._model is None:
-            raise SolverError("no model available (last check was not SAT)")
-        return self._model
-
-    # ------------------------------------------------------------------ online
-
-    def _check_online(self) -> CheckResult:
-        assertions = [preprocess(a) for a in self._raw_assertions]
-        cnf = tseitin(assertions)
-        self.stats.sat_clauses = len(cnf.clauses)
-        self.stats.sat_variables = cnf.num_vars
-        self.stats.atoms = len(cnf.atom_to_var)
-
-        sat = self._make_sat_solver()
-        sat.ensure_vars(cnf.num_vars)
-        core = TheoryCore(idl_propagation=self._idl_propagation)
-        sat.set_theory(core)
-        for atom, var in cnf.atom_to_var.items():
-            core.register_atom(atom, var)
-        self.stats.arith_atoms = core.num_arith_atoms
-        self.stats.euf_atoms = core.num_euf_atoms
-
-        variables: Dict[str, object] = {}
-        for assertion in assertions:
-            variables.update(free_variables(assertion))
-
-        try:
-            if not sat.add_clauses(cnf.clauses):
-                return CheckResult.UNSAT
-            if self._max_iterations is not None and self._max_iterations < 1:
-                return CheckResult.UNKNOWN
-            # The iteration budget bounds *theory* conflicts (the online
-            # analogue of offline's blocking-clause rounds); purely Boolean
-            # search stays unbudgeted, exactly like the offline loop.
-            result = sat.solve(
-                theory_conflict_limit=self._max_iterations,
-                deadline=self._deadline,
-            )
-            if result is SatResult.UNSAT:
-                return CheckResult.UNSAT
-            if result is SatResult.UNKNOWN:
-                return CheckResult.UNKNOWN
-            self._model = _assemble_model(
-                cnf.atom_to_var,
-                sat.model(),
-                variables,
-                core.arith_model,
-                core.euf_model,
-            )
-            return CheckResult.SAT
-        finally:
-            # Single capture point: every exit path reports the same numbers.
-            self.stats.sat_decisions = sat.stats.decisions
-            self.stats.sat_conflicts = sat.stats.conflicts
-            self.stats.theory_conflicts = sat.stats.theory_conflicts
-            self.stats.theory_propagations = sat.stats.theory_propagations
-            self.stats.theory_propagations_euf = core.euf_propagations
-            self.stats.theory_propagations_idl = core.idl_propagations
-            self.stats.theory_partial_conflicts = sat.stats.theory_partial_conflicts
-            self.stats.iterations = 1 + sat.stats.theory_conflicts
-            self.stats.explanations = core.explanations
-            self.stats.explanation_literals = core.explanation_literals
-            self.stats.reduce_db_rounds = sat.stats.reduce_db_rounds
-            self.stats.clauses_deleted = sat.stats.clauses_deleted
-            self.stats.max_live_learned = sat.stats.max_live_learned
-            self.stats.compactions = getattr(sat.stats, "compactions", 0)
-            self.stats.arena_bytes = getattr(sat.stats, "arena_bytes", 0)
-
-    # ------------------------------------------------------------------ offline
-
-    def _check_offline(self) -> CheckResult:
-        assertions = [preprocess(a) for a in self._raw_assertions]
-        cnf = tseitin(assertions)
-        self.stats.sat_clauses = len(cnf.clauses)
-        self.stats.sat_variables = cnf.num_vars
-        self.stats.atoms = len(cnf.atom_to_var)
-
-        sat = self._make_sat_solver()
-        sat.ensure_vars(cnf.num_vars)
-
-        arith_atoms: Dict[Term, int] = {}
-        euf_atoms: Dict[Term, int] = {}
-        for atom, var in cnf.atom_to_var.items():
-            _partition_atom(atom, var, arith_atoms, euf_atoms)
-        self.stats.arith_atoms = len(arith_atoms)
-        self.stats.euf_atoms = len(euf_atoms)
-
-        variables: Dict[str, object] = {}
-        for assertion in assertions:
-            variables.update(free_variables(assertion))
-
-        constraint_cache: Dict[Tuple[int, bool], Tuple[LinearLe, ...]] = {}
-        try:
-            if not sat.add_clauses(cnf.clauses):
-                return CheckResult.UNSAT
-            while True:
-                self.stats.iterations += 1
-                if self.stats.iterations > self._max_iterations:
-                    return CheckResult.UNKNOWN
-                if self._deadline is not None and time.monotonic() >= self._deadline:
-                    return CheckResult.UNKNOWN
-                result = sat.solve(deadline=self._deadline)
-                if result is SatResult.UNSAT:
-                    return CheckResult.UNSAT
-                if result is SatResult.UNKNOWN:  # pragma: no cover - no limit set
-                    return CheckResult.UNKNOWN
-
-                bool_model = sat.model()
-                conflict_lits, arith_model, euf_model = _theory_consistency(
-                    arith_atoms, euf_atoms, bool_model, constraint_cache
-                )
-                if conflict_lits is None:
-                    # Theories agree: assemble the model.
-                    self._model = _assemble_model(
-                        cnf.atom_to_var, bool_model, variables, arith_model, euf_model
-                    )
-                    return CheckResult.SAT
-
-                self.stats.theory_conflicts += 1
-                if not conflict_lits:
-                    # Theory inconsistency independent of any decision.
-                    return CheckResult.UNSAT
-                if not sat.add_clause([-lit for lit in conflict_lits]):
-                    return CheckResult.UNSAT
-        finally:
-            # Single capture point: the UNSAT/UNKNOWN early returns used to
-            # leave sat_decisions/sat_conflicts stale or zero.
-            self.stats.sat_decisions = sat.stats.decisions
-            self.stats.sat_conflicts = sat.stats.conflicts
-            self.stats.reduce_db_rounds = sat.stats.reduce_db_rounds
-            self.stats.clauses_deleted = sat.stats.clauses_deleted
-            self.stats.max_live_learned = sat.stats.max_live_learned
-            self.stats.compactions = getattr(sat.stats, "compactions", 0)
-            self.stats.arena_bytes = getattr(sat.stats, "arena_bytes", 0)
-
-
 class IncrementalDpllTEngine:
     """A persistent DPLL(T) engine with add/push/pop and assumption checks.
 
-    Where :class:`DpllTEngine` is rebuilt from scratch for every query, this
-    engine keeps all solver state alive across ``check`` calls:
+    The engine keeps all solver state alive across ``check`` calls:
 
     * one :class:`~repro.smt.cnf.TseitinConverter` — atoms keep their
       propositional variables and gate definitions are shared, so asserting
       the same subformula twice costs nothing;
     * one :class:`~repro.smt.sat.SatSolver` — learned clauses, variable
       activities and saved phases survive between checks;
-    * one :class:`TheoryCore` (online mode) — the incremental theory
-      solvers and their atom vocabulary persist alongside the SAT core;
-      clauses learned from theory conflicts speak about the atom
-      vocabulary, not a particular assertion set, so they remain valid and
-      persist too (offline mode keeps the equivalent blocking clauses).
+    * one :class:`TheoryCore` — the incremental theory solvers and their
+      atom vocabulary persist alongside the SAT core; clauses learned from
+      theory conflicts speak about the atom vocabulary, not a particular
+      assertion set, so they remain valid and persist too.
 
     Scopes are implemented with *selector literals* in the MiniSat
     tradition: an assertion added after a :meth:`push` is encoded as
@@ -798,7 +473,6 @@ class IncrementalDpllTEngine:
     def __init__(
         self,
         max_iterations: int = 200_000,
-        theory_mode: str = "online",
         reduce_db: bool = True,
         reduce_base: int = DEFAULT_REDUCE_BASE,
         theory_bump: float = DEFAULT_THEORY_BUMP,
@@ -811,21 +485,13 @@ class IncrementalDpllTEngine:
             theory_bump=theory_bump,
         )
         self._max_iterations = max_iterations
-        self.theory_mode = _validate_theory_mode(theory_mode)
         self._deadline: Optional[float] = None
         self._clauses_fed = 0
         self._atoms_seen = 0
-        self._arith_atoms: Dict[Term, int] = {}
-        self._euf_atoms: Dict[Term, int] = {}
         self._variables: Dict[str, object] = {}
         self._selectors: List[int] = []
-        self._constraint_cache: Dict[Tuple[int, bool], Tuple[LinearLe, ...]] = {}
-        self._core: Optional[TheoryCore] = None
-        if self.theory_mode == "online":
-            self._core = TheoryCore(
-                self._constraint_cache, idl_propagation=idl_propagation
-            )
-            self._sat.set_theory(self._core)
+        self._core = TheoryCore(idl_propagation=idl_propagation)
+        self._sat.set_theory(self._core)
         self._model: Optional[Model] = None
         self._last_result: Optional[CheckResult] = None
         #: Statistics of the most recent :meth:`check`.
@@ -901,22 +567,10 @@ class IncrementalDpllTEngine:
         stats.sat_clauses = self._sat.num_clauses
         stats.sat_variables = self._sat.num_vars
         stats.atoms = self._atoms_seen
-        if self._core is not None:
-            stats.arith_atoms = self._core.num_arith_atoms
-            stats.euf_atoms = self._core.num_euf_atoms
-        else:
-            stats.arith_atoms = len(self._arith_atoms)
-            stats.euf_atoms = len(self._euf_atoms)
+        stats.arith_atoms = self._core.num_arith_atoms
+        stats.euf_atoms = self._core.num_euf_atoms
 
         sat_assumptions = list(self._selectors) + assumption_lits
-        if self.theory_mode == "online":
-            return self._check_online(stats, sat_assumptions)
-        return self._check_offline(stats, sat_assumptions)
-
-    def _check_online(
-        self, stats: SmtStats, sat_assumptions: List[int]
-    ) -> CheckResult:
-        assert self._core is not None
         sat, core = self._sat, self._core
         # The SAT core's counters are engine-lifetime; report per-check deltas.
         base_decisions = sat.stats.decisions
@@ -933,7 +587,8 @@ class IncrementalDpllTEngine:
         try:
             if self._max_iterations is not None and self._max_iterations < 1:
                 return self._finish(CheckResult.UNKNOWN)
-            # Budget theory conflicts only (see DpllTEngine._check_online).
+            # The iteration budget bounds *theory* conflicts; purely Boolean
+            # search stays unbudgeted.
             result = sat.solve(
                 sat_assumptions,
                 theory_conflict_limit=self._max_iterations,
@@ -980,63 +635,6 @@ class IncrementalDpllTEngine:
             stats.compactions = getattr(sat.stats, "compactions", 0)
             stats.arena_bytes = getattr(sat.stats, "arena_bytes", 0)
 
-    def _check_offline(
-        self, stats: SmtStats, sat_assumptions: List[int]
-    ) -> CheckResult:
-        # The SAT core's counters are engine-lifetime; report per-check deltas.
-        base_decisions = self._sat.stats.decisions
-        base_conflicts = self._sat.stats.conflicts
-        base_reduce_rounds = self._sat.stats.reduce_db_rounds
-        base_deleted = self._sat.stats.clauses_deleted
-        try:
-            while True:
-                stats.iterations += 1
-                if stats.iterations > self._max_iterations:
-                    return self._finish(CheckResult.UNKNOWN)
-                if (
-                    self._deadline is not None
-                    and time.monotonic() >= self._deadline
-                ):
-                    return self._finish(CheckResult.UNKNOWN)
-                result = self._sat.solve(sat_assumptions, deadline=self._deadline)
-                if result is SatResult.UNSAT:
-                    return self._finish(CheckResult.UNSAT)
-                if result is SatResult.UNKNOWN:  # pragma: no cover - no limit set
-                    return self._finish(CheckResult.UNKNOWN)
-
-                bool_model = self._sat.model()
-                conflict_lits, arith_model, euf_model = _theory_consistency(
-                    self._arith_atoms, self._euf_atoms, bool_model,
-                    self._constraint_cache,
-                )
-                if conflict_lits is None:
-                    self._model = _assemble_model(
-                        self._converter.result.atom_to_var,
-                        bool_model,
-                        self._variables,
-                        arith_model,
-                        euf_model,
-                    )
-                    return self._finish(CheckResult.SAT)
-
-                stats.theory_conflicts += 1
-                if not conflict_lits:  # pragma: no cover - theories always explain
-                    return self._finish(CheckResult.UNSAT)
-                # The lemma is theory-valid, so it may outlive scopes and
-                # assumptions: this is the learned state reused across checks.
-                if not self._sat.add_clause([-lit for lit in conflict_lits]):
-                    return self._finish(CheckResult.UNSAT)
-        finally:
-            stats.sat_decisions = self._sat.stats.decisions - base_decisions
-            stats.sat_conflicts = self._sat.stats.conflicts - base_conflicts
-            stats.reduce_db_rounds = (
-                self._sat.stats.reduce_db_rounds - base_reduce_rounds
-            )
-            stats.clauses_deleted = self._sat.stats.clauses_deleted - base_deleted
-            stats.max_live_learned = self._sat.stats.max_live_learned
-            stats.compactions = getattr(self._sat.stats, "compactions", 0)
-            stats.arena_bytes = getattr(self._sat.stats, "arena_bytes", 0)
-
     def model(self) -> Model:
         """The model of the last :meth:`check`, which must have returned SAT."""
         if self._model is None:
@@ -1044,14 +642,13 @@ class IncrementalDpllTEngine:
         return self._model
 
     def set_idl_propagation(self, enabled: bool) -> None:
-        """Pause/resume IDL bound propagation between checks (online mode).
+        """Pause/resume IDL bound propagation between checks.
 
         Model-enumeration loops toggle the lane off: streaming SAT models
         rarely profits from bound propagation, while the per-assertion
-        entailment pass still costs two Dijkstras.  A no-op in offline mode.
+        entailment pass still costs two Dijkstras.
         """
-        if self._core is not None:
-            self._core.set_idl_propagation(enabled)
+        self._core.set_idl_propagation(enabled)
 
     def set_deadline(self, deadline: Optional[float]) -> None:
         """Bound every later :meth:`check` by a ``time.monotonic`` instant.
@@ -1063,6 +660,14 @@ class IncrementalDpllTEngine:
         budget starts warm.
         """
         self._deadline = deadline
+
+    @property
+    def budget_exhausted(self) -> bool:
+        """True when the last check stopped on the ``max_iterations`` budget."""
+        return (
+            self._max_iterations is not None
+            and self.stats.iterations > self._max_iterations
+        )
 
     @property
     def last_result(self) -> Optional[CheckResult]:
@@ -1099,12 +704,9 @@ class IncrementalDpllTEngine:
             self._clauses_fed = len(clauses)
         atom_to_var = result.atom_to_var
         if len(atom_to_var) > self._atoms_seen:
-            # Advance the counter per atom: if partitioning rejects one (e.g.
+            # Advance the counter per atom: if registration rejects one (e.g.
             # an unsupported Boolean predicate), atoms after it must not be
             # silently skipped — the next flush retries and re-raises.
             for atom, var in islice(atom_to_var.items(), self._atoms_seen, None):
-                if self._core is not None:
-                    self._core.register_atom(atom, var)
-                else:
-                    _partition_atom(atom, var, self._arith_atoms, self._euf_atoms)
+                self._core.register_atom(atom, var)
                 self._atoms_seen += 1

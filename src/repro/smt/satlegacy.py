@@ -293,8 +293,8 @@ class LegacySatSolver:
 
         Returns :data:`SatResult.UNKNOWN` only when ``conflict_limit``
         (total conflicts), ``theory_conflict_limit`` (theory conflicts
-        only — purely Boolean search stays unbudgeted, mirroring the
-        offline lazy loop's iteration bound) or ``deadline`` (a
+        only — purely Boolean search stays unbudgeted; the DPLL(T)
+        engine's iteration budget) or ``deadline`` (a
         ``time.monotonic`` instant, polled every few hundred search steps
         so the clock read stays off the propagation hot path) is hit.
         """

@@ -83,9 +83,10 @@ class _Edge:
 class DifferenceLogicSolver:
     """Decides conjunctions of integer difference constraints.
 
-    The solver is used in "batch" mode by the DPLL(T) loop: all constraints
-    of a candidate assignment are asserted, :meth:`check` is called once, and
-    the solver is thrown away.  Asserting is O(1); checking is O(V·E).
+    A batch solver: all constraints are asserted, :meth:`check` is called
+    once, and the solver is thrown away.  Asserting is O(1); checking is
+    O(V·E).  The DPLL(T) engine runs :class:`IncrementalDifferenceLogic`;
+    this solver is the independent reference its tests check against.
     """
 
     def __init__(self) -> None:

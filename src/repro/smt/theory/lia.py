@@ -25,11 +25,10 @@ Solver for DPLL(T)", CAV'06), the algorithm behind Yices:
 
 :class:`IncrementalLinearInt` is the trail-backed solver of the online
 DPLL(T) engine (``assert_lit`` / ``retract_to`` / ``explain`` /
-``final_check``); :class:`LinearIntSolver` is a batch front end over the
-same tableau for the offline loop.
+``final_check``).
 
 The MCAPI trace encoding itself only produces difference constraints
-(handled by the faster :class:`repro.smt.theory.idl.DifferenceLogicSolver`);
+(handled by the faster :class:`repro.smt.theory.idl.IncrementalDifferenceLogic`);
 this solver takes over when a property mentions a non-difference term,
 such as a sum of received payloads.
 """
@@ -45,7 +44,7 @@ from repro.smt.linear import LinearLe
 from repro.smt.theory.idl import TheoryResult
 from repro.utils.errors import ResourceLimitError, SolverError
 
-__all__ = ["LinearIntSolver", "IncrementalLinearInt"]
+__all__ = ["IncrementalLinearInt"]
 
 #: Cap on branch-and-bound nodes per final check; past it the solver gives
 #: up with a ResourceLimitError rather than a wrong answer.
@@ -498,35 +497,3 @@ class IncrementalLinearInt:
             if val[var].__class__ is not int:
                 return var
         return None
-
-
-class LinearIntSolver:
-    """Decides conjunctions of linear integer constraints (batch mode).
-
-    A front end over :class:`IncrementalLinearInt`: constraint ``i`` is
-    asserted under tag ``i``, so conflicts are constraint indices.
-    """
-
-    def __init__(self) -> None:
-        self._constraints: List[LinearLe] = []
-
-    def assert_constraint(self, constraint: LinearLe) -> int:
-        index = len(self._constraints)
-        self._constraints.append(constraint)
-        return index
-
-    def assert_all(self, constraints: Sequence[LinearLe]) -> None:
-        for constraint in constraints:
-            self.assert_constraint(constraint)
-
-    def __len__(self) -> int:
-        return len(self._constraints)
-
-    def check(self) -> TheoryResult:
-        """Check integer satisfiability of everything asserted so far."""
-        solver = IncrementalLinearInt()
-        for index, constraint in enumerate(self._constraints):
-            conflict = solver.assert_lit(index, (constraint,), check=False)
-            if conflict is not None:
-                return TheoryResult(satisfiable=False, conflict=conflict)
-        return solver.final_check()

@@ -10,7 +10,6 @@ verdict together with a counterexample (when one exists)::
     mcapi-verify --workload figure1 --backend smtlib   # external solver
     mcapi-verify --workload circular_wait --check-deadlock
     mcapi-verify --workload racy_fanin --stats          # solver statistics
-    mcapi-verify --workload figure1 --theory-mode offline  # reference loop
 
 ``--check-deadlock`` switches the question from the safety properties to
 symbolic deadlock detection (the partial-match encoding): exit code 1 then
@@ -51,7 +50,6 @@ from typing import Callable, Dict, Optional
 from repro.encoding.encoder import EncoderOptions, MatchPairStrategy
 from repro.program.ast import Program
 from repro.smt.backend import available_backends
-from repro.smt.dpllt import THEORY_MODES
 from repro.utils.errors import BackendUnavailableError, ServiceError, SolverError
 from repro.verification.result import Verdict
 from repro.verification.session import VerificationSession, resolve_mode
@@ -184,13 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="dpllt",
         choices=available_backends(),
         help="solver backend (smtlib needs REPRO_SMT_SOLVER to name a binary)",
-    )
-    parser.add_argument(
-        "--theory-mode",
-        default=None,
-        choices=list(THEORY_MODES),
-        help="dpllt only: online theory integration (default) or the "
-        "classic offline lazy loop",
     )
     parser.add_argument(
         "--stats",
@@ -356,8 +347,6 @@ def _run_batch(args: argparse.Namespace, program: Program, options, mode: str) -
             traces.append(run.trace)
     backend = args.backend
     spec_kwargs = _solver_knob_kwargs(args)
-    if args.theory_mode is not None:
-        spec_kwargs["theory_mode"] = args.theory_mode
     if spec_kwargs:
         from repro.smt.backend import BackendSpec
 
@@ -437,8 +426,6 @@ def _run_remote(args: argparse.Namespace, mode: str) -> int:
         "match_pairs": args.match_pairs,
         "pair_fifo": args.pair_fifo,
     }
-    if args.theory_mode is not None:
-        shared["theory_mode"] = args.theory_mode
     if args.timeout is not None:
         shared["timeout_s"] = args.timeout
     repeat = max(args.repeat, 1)
@@ -575,7 +562,6 @@ def main(argv: Optional[list] = None) -> int:
             options=resolved_options,
             properties=properties,
             backend=args.backend,
-            theory_mode=args.theory_mode,
             on_deadlock="static" if mode == "deadlock" else "raise",
             **_solver_knob_kwargs(args),
         )

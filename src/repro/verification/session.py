@@ -136,12 +136,9 @@ class VerificationSession:
         :class:`~repro.smt.backend.SolverBackend`, or ``None`` for the
         default incremental DPLL(T) backend.
     max_solver_iterations:
-        DPLL(T) iteration budget per ``check``.
-    theory_mode:
-        ``"online"`` (default) wires the incremental theory solvers into
-        the SAT search; ``"offline"`` selects the classic lazy
-        model-then-check loop (the reference semantics, kept for
-        differential testing).  Only meaningful for the dpllt backend.
+        DPLL(T) iteration budget per ``check`` (``1 +`` the theory
+        conflicts allowed); when it binds the answer is ``UNKNOWN`` with
+        ``unknown_reason="resource"``.
     reduce_db / theory_bump / idl_propagation:
         Solver hot-path knobs forwarded to the dpllt backend when set:
         learned-clause database reduction (default on), the extra VSIDS
@@ -165,7 +162,6 @@ class VerificationSession:
         properties: Optional[Sequence[Property]] = None,
         backend: Union[str, SolverBackend, None] = None,
         max_solver_iterations: int = 200_000,
-        theory_mode: Optional[str] = None,
         reduce_db: Optional[bool] = None,
         theory_bump: Optional[float] = None,
         idl_propagation: Optional[bool] = None,
@@ -184,7 +180,6 @@ class VerificationSession:
         self.encode_count = 1
         self._backend_spec = backend
         self._max_iterations = max_solver_iterations
-        self._theory_mode = theory_mode
         self._reduce_db = reduce_db
         self._theory_bump = theory_bump
         self._idl_propagation = idl_propagation
@@ -243,8 +238,6 @@ class VerificationSession:
         """The live solver backend, loaded with the base assertion set."""
         if self._backend is None:
             kwargs: Dict[str, object] = {"max_iterations": self._max_iterations}
-            if self._theory_mode is not None:
-                kwargs["theory_mode"] = self._theory_mode
             for name, value in (
                 ("reduce_db", self._reduce_db),
                 ("theory_bump", self._theory_bump),
@@ -446,7 +439,6 @@ class VerificationSession:
                 properties=[DeadlockProperty()],
                 backend=self._lane_backend_spec(),
                 max_solver_iterations=self._max_iterations,
-                theory_mode=self._theory_mode,
                 reduce_db=self._reduce_db,
                 theory_bump=self._theory_bump,
                 idl_propagation=self._idl_propagation,
@@ -626,7 +618,6 @@ def verify_many(
     cache=None,
     cache_dir: Optional[str] = None,
     mode: str = "safety",
-    theory_mode: Optional[str] = None,
     reduce_db: Optional[bool] = None,
     theory_bump: Optional[float] = None,
     idl_propagation: Optional[bool] = None,
@@ -646,12 +637,10 @@ def verify_many(
     back to the static symbolic trace), or ``"orphan"`` (lost-message
     check).  Mode and explicit ``properties`` are mutually exclusive.
 
-    ``theory_mode`` picks the dpllt engine's theory integration per item
-    (``"online"``/``"offline"``, ``None`` for the backend default); in the
-    parallel lane it is folded into the picklable
-    :class:`~repro.smt.backend.BackendSpec` shipped to workers.  The solver
-    hot-path knobs ``reduce_db`` / ``theory_bump`` / ``idl_propagation``
-    travel the same way (``None`` keeps the backend defaults).
+    The dpllt solver hot-path knobs ``reduce_db`` / ``theory_bump`` /
+    ``idl_propagation`` apply to every item (``None`` keeps the backend
+    defaults); in the parallel lane they are folded into the picklable
+    :class:`~repro.smt.backend.BackendSpec` shipped to workers.
 
     ``timeout_s`` bounds each item's solve by wall clock; a query that
     cannot finish in time comes back ``UNKNOWN`` with
@@ -683,9 +672,6 @@ def verify_many(
                 "verify_many needs a backend registry name, not a live "
                 "backend instance: worker processes build their own solvers"
             )
-        if theory_mode is not None:
-            # Fold the mode into the picklable spec so workers honour it.
-            backend = BackendSpec.of(backend, theory_mode=theory_mode)
         if solver_knobs:
             backend = BackendSpec.of(backend, **solver_knobs)
         with ParallelVerifier(
@@ -725,7 +711,6 @@ def verify_many(
                 properties=properties,
                 backend=backend,
                 max_solver_iterations=max_solver_iterations,
-                theory_mode=theory_mode,
                 program_run=run,
                 encoder=encoder,
                 **solver_knobs,
@@ -736,7 +721,6 @@ def verify_many(
                 properties=properties,
                 backend=backend,
                 max_solver_iterations=max_solver_iterations,
-                theory_mode=theory_mode,
                 encoder=encoder,
                 **solver_knobs,
             )

@@ -142,6 +142,48 @@ class TestDispatchErrors:
         )
         assert response["error"]["code"] == protocol.INVALID_PARAMS
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"match_pairs": "Precise"},
+            {"match_pairs": "bogus"},
+            {"theory_mode": "offline"},
+            {"theory_mode": "online"},
+            {"max_iterations": 0},
+        ],
+    )
+    def test_unsupported_spec_value_is_an_error_and_pools_nothing(
+        self, service, extra
+    ):
+        """A spec the daemon cannot honour exactly is refused before any
+        session is built, instead of being answered under the defaults."""
+        params = dict({"workload": "racy_fanin", "params": {"senders": 3}}, **extra)
+        response = service.handle_json(_request("verify", params))
+        assert response["error"]["code"] == protocol.INVALID_PARAMS
+        pool = service.pool.statistics()["pool"]
+        assert pool["entries"] == [] and pool["misses"] == 0
+
+    def test_budgeted_spec_cannot_poison_the_warm_pool(self, service):
+        """A per-request iteration budget is not part of the pool key, so a
+        budget-0 session left warm would answer UNKNOWN to every later
+        request of the same question.  The budget is refused before any
+        session exists; the next request builds its own and is decided."""
+        spec = {"workload": "racy_fanin", "params": {"senders": 3}}
+        refused = service.handle_json(
+            _request("verify", dict(spec, max_iterations=0))
+        )
+        assert refused["error"]["code"] == protocol.INVALID_PARAMS
+        response = service.handle_json(_request("verify", spec, request_id=2))
+        assert response["result"]["pool_hit"] is False
+        assert response["result"]["result"]["verdict"] != "unknown"
+
+    @pytest.mark.parametrize("match_pairs", ["endpoint", "precise"])
+    def test_known_match_pairs_values_are_served(self, service, match_pairs):
+        response = service.handle_json(
+            _request("verify", {"workload": "figure1", "match_pairs": match_pairs})
+        )
+        assert response["result"]["result"]["verdict"] == "violation"
+
     def test_empty_batch_rejected(self, service):
         response = service.handle_json(_request("verify_batch", {"queries": []}))
         assert response["error"]["code"] == protocol.INVALID_PARAMS
@@ -164,7 +206,6 @@ class TestSessionPool:
                 fingerprint=f"f{i}",
                 options="endpoint;fifo=False",
                 backend="dpllt",
-                theory_mode="default",
             )
             for i in range(3)
         ]
@@ -182,12 +223,8 @@ class TestSessionPool:
         from repro.service.pool import PoolKey
 
         pool = SessionPool(capacity=8)
-        key_a = PoolKey(
-            fingerprint="aa", options="o", backend="dpllt", theory_mode="default"
-        )
-        key_b = PoolKey(
-            fingerprint="bb", options="o", backend="dpllt", theory_mode="default"
-        )
+        key_a = PoolKey(fingerprint="aa", options="o", backend="dpllt")
+        key_b = PoolKey(fingerprint="bb", options="o", backend="dpllt")
         pool.put(key_a, object())
         pool.put(key_b, object())
         assert pool.invalidate("aa") == 1

@@ -165,14 +165,12 @@ class TestIncrementalSemantics:
 
     def test_incremental_engine_does_less_work_than_cold_restarts(self):
         """An enumeration on one engine performs far fewer DPLL(T) iterations
-        than rebuilding a fresh engine per query (the seed architecture).
+        than rebuilding a fresh backend per query (the seed architecture).
 
         IDL bound propagation is pinned off in both lanes: it converts the
         ordering conflicts this workload counts into unit propagations,
         which collapses both iteration counts to the per-check minimum and
         leaves nothing for the warm-vs-cold comparison to measure."""
-        from repro.smt.dpllt import DpllTEngine
-
         def constraints():
             terms = []
             vs = [IntVar(f"w{i}") for i in range(4)]
@@ -185,16 +183,17 @@ class TestIncrementalSemantics:
 
         terms, vs = constraints()
 
-        # Cold: fresh engine per check, blocking clauses re-supplied.
+        # Cold: fresh backend per check, blocking clauses re-supplied.
         blocking = []
         cold_iterations = 0
         while True:
-            engine = DpllTEngine(terms + blocking, idl_propagation=False)
-            result = engine.check()
-            cold_iterations += engine.stats.iterations
+            cold = DpllTBackend(idl_propagation=False)
+            cold.add_all(terms + blocking)
+            result = cold.check()
+            cold_iterations += cold.engine.stats.iterations
             if result is not CheckResult.SAT:
                 break
-            model = engine.model()
+            model = cold.model()
             blocking.append(
                 Not(And([Eq(v, IntVal(model.value_of(v.name))) for v in vs]))
             )

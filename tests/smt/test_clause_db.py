@@ -8,8 +8,8 @@ Three layers of guarantees:
   attachment invariant;
 * **semantic equivalence** — verdicts and models are identical under the
   most aggressive reduction possible (``reduce_base=1``) on random CNFs
-  (against a truth table) and on the 300-formula mixed-theory differential
-  corpus shared with the online/offline suite;
+  (against a truth table) and on the 300-formula mixed-theory corpus
+  shared with the DPLL(T) oracle suite;
 * **incremental soundness** — assumption and push/pop ``check()`` streams
   on one engine agree with an unreduced engine after arbitrarily many
   reductions.
@@ -20,9 +20,9 @@ import random
 
 import pytest
 
-from test_online_offline import _random_assertions
+from test_dpllt_oracle import _random_assertions, _solve
 
-from repro.smt.dpllt import CheckResult, DpllTEngine, IncrementalDpllTEngine
+from repro.smt.dpllt import CheckResult, IncrementalDpllTEngine
 from repro.smt.sat import SatResult, SatSolver, TheoryListener
 
 
@@ -230,13 +230,11 @@ class TestReductionDifferential:
         per_chunk = 30
         for index in range(per_chunk):
             seed = chunk * per_chunk + index
-            rng = random.Random(1_000 + seed)  # the online/offline corpus seeds
+            rng = random.Random(1_000 + seed)  # the oracle suite's corpus seeds
             assertions, has_apps = _random_assertions(rng)
 
-            reduced = DpllTEngine(assertions, reduce_base=1)
-            baseline = DpllTEngine(assertions, reduce_db=False)
-            verdict_reduced = reduced.check()
-            verdict_baseline = baseline.check()
+            verdict_reduced, reduced = _solve(assertions, reduce_base=1)
+            verdict_baseline, _ = _solve(assertions, reduce_db=False)
             assert verdict_reduced == verdict_baseline, f"seed {seed}"
             assert verdict_reduced is not CheckResult.UNKNOWN
             if verdict_reduced is CheckResult.SAT and not has_apps:

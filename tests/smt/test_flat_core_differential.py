@@ -17,19 +17,19 @@ pin that promise three ways:
 * **arena invariants** — after any reduction, reason-locked crefs still
   dereference to live records, no watch entry dangles, and every blocker
   is a literal of its clause;
-* **DPLL(T) corpus** — the mixed-theory corpus shared with the
-  online/offline suite yields identical verdicts, models and conflict
-  counts when the engine's SAT core is swapped for the legacy one.
+* **DPLL(T) corpus** — the mixed-theory corpus shared with the DPLL(T)
+  oracle suite yields identical verdicts, models and conflict counts when
+  the engine's SAT core is swapped for the legacy one.
 """
 
 import random
 
 import pytest
 
-from test_online_offline import _random_assertions
+from test_dpllt_oracle import _random_assertions, _solve
 
 import repro.smt.dpllt as dpllt
-from repro.smt.dpllt import CheckResult, DpllTEngine
+from repro.smt.dpllt import CheckResult
 from repro.smt.sat import SatResult, SatSolver
 from repro.smt.satlegacy import LegacySatSolver
 
@@ -192,25 +192,19 @@ class TestDpllTCorpus:
     def test_corpus_exact_agreement(self, chunk, monkeypatch):
         for index in range(15):
             seed = chunk * 15 + index
-            rng = random.Random(1_000 + seed)  # the online/offline corpus seeds
+            rng = random.Random(1_000 + seed)  # the oracle suite's corpus seeds
             assertions, has_apps = _random_assertions(rng)
 
-            flat_engine = DpllTEngine(assertions, reduce_base=1)
-            flat_verdict = flat_engine.check()
-            flat_model = (
-                flat_engine.model() if flat_verdict is CheckResult.SAT else None
-            )
-            flat_stats = flat_engine.stats
+            flat_verdict, flat = _solve(assertions, reduce_base=1)
+            flat_model = flat.model() if flat_verdict is CheckResult.SAT else None
+            flat_stats = flat.engine.stats
 
             monkeypatch.setattr(dpllt, "SatSolver", LegacySatSolver)
-            legacy_engine = DpllTEngine(assertions, reduce_base=1)
-            legacy_verdict = legacy_engine.check()
+            legacy_verdict, legacy = _solve(assertions, reduce_base=1)
             legacy_model = (
-                legacy_engine.model()
-                if legacy_verdict is CheckResult.SAT
-                else None
+                legacy.model() if legacy_verdict is CheckResult.SAT else None
             )
-            legacy_stats = legacy_engine.stats
+            legacy_stats = legacy.engine.stats
             monkeypatch.undo()
 
             assert flat_verdict == legacy_verdict, f"seed {seed}"

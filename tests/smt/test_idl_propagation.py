@@ -17,9 +17,9 @@ import random
 
 import pytest
 
-from test_online_offline import _random_assertions
+from test_dpllt_oracle import _random_assertions, _solve
 
-from repro.smt.dpllt import CheckResult, DpllTEngine
+from repro.smt.dpllt import CheckResult
 from repro.smt.linear import LinearExpr, LinearLe
 from repro.smt.terms import IntVal, IntVar, Le, Lt, Or
 from repro.smt.theory.idl import DifferenceLogicSolver, IncrementalDifferenceLogic
@@ -213,13 +213,11 @@ class TestEngineDifferential:
             rng = random.Random(1_000 + seed)  # shared corpus seeds
             assertions, has_apps = _random_assertions(rng)
 
-            on = DpllTEngine(assertions, idl_propagation=True)
-            off = DpllTEngine(assertions, idl_propagation=False)
-            verdict_on = on.check()
-            verdict_off = off.check()
+            verdict_on, on = _solve(assertions, idl_propagation=True)
+            verdict_off, off = _solve(assertions, idl_propagation=False)
             assert verdict_on == verdict_off, f"seed {seed}"
             assert verdict_on is not CheckResult.UNKNOWN
-            assert off.stats.theory_propagations_idl == 0
+            assert off.engine.stats.theory_propagations_idl == 0
             if verdict_on is CheckResult.SAT and not has_apps:
                 model = on.model()
                 for assertion in assertions:
@@ -237,12 +235,13 @@ class TestEngineDifferential:
             terms.append(Le(IntVal(0), clock))
             terms.append(Le(clock, IntVal(3)))
 
-        on = DpllTEngine(terms, idl_propagation=True)
-        off = DpllTEngine(terms, idl_propagation=False)
-        assert on.check() is CheckResult.UNSAT
-        assert off.check() is CheckResult.UNSAT
-        assert on.stats.theory_propagations_idl > 0
-        assert on.stats.theory_conflicts < off.stats.theory_conflicts
+        verdict_on, on = _solve(terms, idl_propagation=True)
+        verdict_off, off = _solve(terms, idl_propagation=False)
+        assert verdict_on is CheckResult.UNSAT
+        assert verdict_off is CheckResult.UNSAT
+        on_stats, off_stats = on.engine.stats, off.engine.stats
+        assert on_stats.theory_propagations_idl > 0
+        assert on_stats.theory_conflicts < off_stats.theory_conflicts
         # The aggregate counter covers both lanes consistently.
-        assert on.stats.theory_propagations >= 0
-        assert "theory_propagations_idl" in on.stats.as_dict()
+        assert on_stats.theory_propagations >= 0
+        assert "theory_propagations_idl" in on.statistics()

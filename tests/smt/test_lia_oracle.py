@@ -5,7 +5,8 @@ in [-3, 3] and every variable boxed to [-4, 4] by asserted bounds, are
 small enough to decide by trying every integer point.  Against that oracle
 this suite checks that
 
-* verdicts agree (incremental solver and batch front end);
+* verdicts agree (solving as the trail grows, and after a batch load of
+  bounds with one final check);
 * every model satisfies every asserted constraint;
 * every conflict is a subset of the trail's literals and is infeasible by
   enumeration on its own (within the box, the domain of every problem);
@@ -26,7 +27,7 @@ from repro.smt.backend import DpllTBackend
 from repro.smt.dpllt import CheckResult
 from repro.smt.linear import LinearExpr, LinearLe
 from repro.smt.terms import Add, Eq, IntVal, IntVar, Mul
-from repro.smt.theory.lia import IncrementalLinearInt, LinearIntSolver
+from repro.smt.theory.lia import IncrementalLinearInt
 from repro.utils.errors import SolverError
 
 BOX = 4
@@ -106,13 +107,19 @@ def test_random_conjunctions_agree_with_enumeration(chunk):
         else:
             _check_answer(problem, lia, trail, f"seed {seed}")
 
-        batch = LinearIntSolver()
+        # Batch load: every constraint as a bound first (tag = position),
+        # then one feasibility check at the final check.
+        batch = IncrementalLinearInt()
         order = problem.box + problem.pool
-        batch.assert_all([problem.constraints[lit] for lit in order])
-        result = batch.check()
-        assert result.satisfiable == problem.feasible(order), f"seed {seed} (batch)"
-        if not result.satisfiable:
-            assert not problem.feasible([order[i] for i in result.conflict])
+        for index, lit in enumerate(order):
+            conflict = batch.assert_lit(index, [problem.constraints[lit]], check=False)
+            if conflict is not None:
+                break
+        else:
+            conflict = batch.final_check().conflict
+        assert (conflict is None) == problem.feasible(order), f"seed {seed} (batch)"
+        if conflict is not None:
+            assert not problem.feasible([order[i] for i in conflict])
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -164,12 +171,11 @@ def test_branch_and_bound_cap_is_unknown_resource():
     bounds, branch-and-bound runs into its node cap (not the recursion
     limit) and the backend answers UNKNOWN(resource)."""
     x, y = IntVar("x"), IntVar("y")
-    for mode in ("online", "offline"):
-        backend = DpllTBackend(theory_mode=mode)
-        backend.add(Eq(Add(Mul(2, x), Mul(-2, y)), IntVal(1)))
-        assert backend.check() is CheckResult.UNKNOWN, mode
-        assert backend.unknown_reason == "resource", mode
-        # The next check starts clean: with x fixed, y = -1/2 branches
-        # straight into two infeasible leaves.
-        assert backend.check(Eq(x, IntVal(0))) is CheckResult.UNSAT, mode
-        assert backend.unknown_reason is None, mode
+    backend = DpllTBackend()
+    backend.add(Eq(Add(Mul(2, x), Mul(-2, y)), IntVal(1)))
+    assert backend.check() is CheckResult.UNKNOWN
+    assert backend.unknown_reason == "resource"
+    # The next check starts clean: with x fixed, y = -1/2 branches
+    # straight into two infeasible leaves.
+    assert backend.check(Eq(x, IntVal(0))) is CheckResult.UNSAT
+    assert backend.unknown_reason is None

@@ -22,9 +22,20 @@ from repro.smt.terms import (
     Var,
 )
 from repro.smt.theory.euf import CongruenceClosure
-from repro.smt.theory.idl import DifferenceLogicSolver
-from repro.smt.theory.lia import LinearIntSolver
+from repro.smt.theory.idl import DifferenceLogicSolver, TheoryResult
+from repro.smt.theory.lia import IncrementalLinearInt
 from repro.utils.errors import SolverError
+
+
+def _lia_check(constraints):
+    """Decide ``constraints`` on :class:`IncrementalLinearInt`: constraint
+    ``i`` is loaded as bounds under tag ``i``, then one final check."""
+    lia = IncrementalLinearInt()
+    for index, constraint in enumerate(constraints):
+        conflict = lia.assert_lit(index, (constraint,), check=False)
+        if conflict is not None:
+            return TheoryResult(satisfiable=False, conflict=conflict)
+    return lia.final_check()
 
 
 class TestLinearExpr:
@@ -235,51 +246,41 @@ class TestDifferenceLogic:
             return
         idl = DifferenceLogicSolver()
         idl.assert_all(constraints)
-        lia = LinearIntSolver()
-        lia.assert_all(constraints)
-        assert idl.check().satisfiable == lia.check().satisfiable
+        assert idl.check().satisfiable == _lia_check(constraints).satisfiable
 
 
-class TestLinearIntSolver:
+class TestIncrementalLinearInt:
     def test_satisfiable_general(self):
-        solver = LinearIntSolver()
         # 2x + 3y <= 12, x >= 1, y >= 1
-        solver.assert_all(
+        result = _lia_check(
             [
                 LinearLe(LinearExpr.from_dict({"x": 2, "y": 3}), 12),
                 _lower("x", 1),
                 _lower("y", 1),
             ]
         )
-        result = solver.check()
         assert result.satisfiable
         x, y = result.model["x"], result.model["y"]
         assert 2 * x + 3 * y <= 12 and x >= 1 and y >= 1
 
     def test_rational_but_not_integer_feasible(self):
         # 2x >= 1 and 2x <= 1 forces x = 1/2: no integer solution.
-        solver = LinearIntSolver()
-        solver.assert_all(
+        result = _lia_check(
             [
                 LinearLe(LinearExpr.from_dict({"x": 2}), 1),
                 LinearLe(LinearExpr.from_dict({"x": -2}), -1),
             ]
         )
-        assert not solver.check().satisfiable
+        assert not result.satisfiable
 
     def test_rationally_infeasible_with_explanation(self):
-        solver = LinearIntSolver()
-        i1 = solver.assert_constraint(_upper("x", 0))
-        solver.assert_constraint(_upper("unrelated", 100))
-        i3 = solver.assert_constraint(_lower("x", 1))
-        result = solver.check()
+        result = _lia_check([_upper("x", 0), _upper("unrelated", 100), _lower("x", 1)])
         assert not result.satisfiable
-        assert i1 in result.conflict and i3 in result.conflict
+        assert 0 in result.conflict and 2 in result.conflict
 
     def test_equality_style_pair(self):
-        solver = LinearIntSolver()
         # x + y == 7 and x - y == 1  =>  x=4, y=3
-        solver.assert_all(
+        result = _lia_check(
             [
                 LinearLe(LinearExpr.from_dict({"x": 1, "y": 1}), 7),
                 LinearLe(LinearExpr.from_dict({"x": -1, "y": -1}), -7),
@@ -287,23 +288,20 @@ class TestLinearIntSolver:
                 LinearLe(LinearExpr.from_dict({"x": -1, "y": 1}), -1),
             ]
         )
-        result = solver.check()
         assert result.satisfiable
         assert result.model["x"] == 4 and result.model["y"] == 3
 
     def test_empty_is_sat(self):
-        assert LinearIntSolver().check().satisfiable
+        assert _lia_check([]).satisfiable
 
     def test_model_satisfies_constraints(self):
-        solver = LinearIntSolver()
         constraints = [
             LinearLe(LinearExpr.from_dict({"a": 3, "b": -2}), 7),
             LinearLe(LinearExpr.from_dict({"a": -1, "b": -1}), -2),
             _upper("a", 50),
             _upper("b", 50),
         ]
-        solver.assert_all(constraints)
-        result = solver.check()
+        result = _lia_check(constraints)
         assert result.satisfiable
         for constraint in constraints:
             assert constraint.holds(result.model)

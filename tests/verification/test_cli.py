@@ -23,6 +23,14 @@ class TestArgumentParsing:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_removed_theory_mode_flag_rejected(self):
+        """One theory integration is left, so there is nothing to pick."""
+        parser = build_parser()
+        assert "--theory-mode" not in parser.format_help()
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["--workload", "figure1", "--theory-mode", "offline"])
+        assert exit_info.value.code == 2
+
 
 class TestMain:
     def test_figure1_violation_exit_code(self, capsys):

@@ -385,3 +385,16 @@ class TestLinearArithmeticLane:
             assert result.unknown_reason == "resource"
             assert not result.timed_out
 
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    def test_iteration_budget_is_unknown_resource(self, budget):
+        """The DPLL(T) iteration budget is a resource cap like the B&B node
+        limit: when it binds, the answer is UNKNOWN(resource), not a bare
+        UNKNOWN; with the default budget the same question is decided."""
+        program = racy_fanin(4, assert_first_from_sender0=True)
+        trace = run_program(program, seed=0).trace
+        result = VerificationSession(trace, max_solver_iterations=budget).verdict()
+        assert result.verdict is Verdict.UNKNOWN
+        assert result.unknown_reason == "resource"
+        assert not result.timed_out
+        assert VerificationSession(trace).verdict().verdict is Verdict.VIOLATION
+

@@ -5,7 +5,7 @@ Two artifacts:
 
 * ``BENCH_solver.json`` — per-module benchmark wall times plus *direct
   solver probes*: fixed workloads driven straight through
-  :class:`repro.smt.dpllt.DpllTEngine`, capturing the full solver
+  :class:`repro.smt.backend.DpllTBackend`, capturing the full solver
   statistics (theory propagations split by theory, reduceDB rounds,
   clauses deleted, live-clause peak, conflicts, decisions).
 * ``BENCH_service.json`` — *service probes*: a mixed-fingerprint query
@@ -165,7 +165,7 @@ def solver_probes():
     """Fixed solver workloads reported with their full statistics."""
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     from repro.program.interpreter import run_program
-    from repro.smt.dpllt import DpllTEngine
+    from repro.smt.backend import DpllTBackend
     from repro.verification.session import VerificationSession
     from repro.workloads.generators import racy_fanin, scatter_gather
 
@@ -179,16 +179,18 @@ def solver_probes():
 
     # Ordering window: the theory-conflict-heavy UNSAT shape, with and
     # without the hot-path features, so their contributions stay visible.
+    # Only the check is timed; the load is the backend-load probe's job.
     terms = _ordering_terms(6, 5)
     for name, knobs in (
         ("ordering_window_6", {}),
         ("ordering_window_6_no_prop", {"idl_propagation": False}),
         ("ordering_window_6_no_reduce", {"reduce_db": False}),
     ):
-        engine = DpllTEngine(terms, **knobs)
+        backend = DpllTBackend(**knobs)
+        backend.add_all(terms)
         start = time.perf_counter()
-        verdict = engine.check()
-        record(name, time.perf_counter() - start, verdict.value, engine.stats.as_dict())
+        verdict = backend.check()
+        record(name, time.perf_counter() - start, verdict.value, backend.statistics())
 
     # One real trace through the full verification stack.
     run = run_program(racy_fanin(5, assert_first_from_sender0=True), seed=0)
