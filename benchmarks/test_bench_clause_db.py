@@ -15,19 +15,15 @@ UNSAT pigeonhole over difference atoms, exactly what a batched
 propagation is pinned off in *both* arms so the measurement isolates the
 clause-database variable (propagation has its own gate below).
 
-Gates (recut for the flat-memory core, PR 7): **the flat arena core
-runs the stream >= 2x faster than the retained legacy object core**
-(~3.5x measured) with *identical* verdicts and search counters — the
-exactness guarantee of ``tests/smt/test_flat_core_differential.py``
-restated as a perf gate; **reduction must not tax the stream** (the old
-">= 1.5x faster with reduction" gate is gone on purpose: the flat watch
-loop made walking an unreduced database so cheap that at this workload
-size the two arms tie, so the reducer's remaining job here is bounding
-memory, not wall time); and the live learned-clause count stays
-*bounded* — it plateaus around the reduction budget while the unreduced
-arm keeps every clause forever (and while the enabled arm's cumulative
-learned-clause counter keeps growing, proving the plateau comes from
-deletion, not from learning less).
+Gates, all on counters: **reduction fires** on the stream (rounds and
+deletions > 0, none with reduction off), and the live learned-clause
+count stays *bounded* — it plateaus around the reduction budget while
+the unreduced arm keeps every clause forever (and while the enabled
+arm's cumulative learned-clause counter keeps growing, proving the
+plateau comes from deletion, not from learning less).  The wall-clock
+ratio of the two arms is printed here; its "reduction must not tax the
+stream" floor (>= 0.8x) is gated by ``tools/bench_report.py``, because a
+timing ratio depends on the host's load.
 
 **IDL propagation gate.**  On the ordering workload the bound-propagation
 lane must convert theory conflicts into unit propagations: propagation
@@ -46,10 +42,8 @@ import time
 import pytest
 
 from repro.program.interpreter import run_program
-from repro.smt import dpllt
 from repro.smt.backend import DpllTBackend
 from repro.smt.dpllt import CheckResult
-from repro.smt.satlegacy import LegacySatSolver
 from repro.smt.terms import IntVal, IntVar, Le, Lt, Or
 from repro.verification.session import verify_many
 from repro.workloads.generators import racy_fanin
@@ -70,108 +64,50 @@ def _delivery_order_base(backend):
     return clocks
 
 
-def _run_stream(reduce_db: bool, legacy: bool = False):
+def run_stream(reduce_db: bool):
     """64 scoped delivery-window queries on one incremental backend."""
-    original = dpllt.SatSolver
-    if legacy:
-        dpllt.SatSolver = LegacySatSolver
-    try:
-        backend = DpllTBackend(reduce_db=reduce_db, idl_propagation=False)
-        clocks = _delivery_order_base(backend)
-        live_trace = []
-        start = time.perf_counter()
-        for query in range(NUM_QUERIES):
-            anchor = query % NUM_WINDOWS
-            backend.push()
-            for clock in clocks:
-                backend.add(Le(IntVal(anchor), clock))
-                backend.add(Le(clock, IntVal(anchor + NUM_CLOCKS - 2)))
-            outcome = backend.check()
-            assert outcome is CheckResult.UNSAT, (reduce_db, query, outcome)
-            backend.pop()
-            live_trace.append(backend.engine._sat.num_learned)
-        seconds = time.perf_counter() - start
-        sat_stats = backend.engine._sat.stats
-        return {
-            "seconds": seconds,
-            "live_trace": live_trace,
-            "peak_live": sat_stats.max_live_learned,
-            "learned_total": sat_stats.learned_clauses,
-            "reduce_rounds": sat_stats.reduce_db_rounds,
-            "clauses_deleted": sat_stats.clauses_deleted,
-            "conflicts": sat_stats.conflicts,
-            "decisions": sat_stats.decisions,
-        }
-    finally:
-        dpllt.SatSolver = original
+    backend = DpllTBackend(reduce_db=reduce_db, idl_propagation=False)
+    clocks = _delivery_order_base(backend)
+    live_trace = []
+    start = time.perf_counter()
+    for query in range(NUM_QUERIES):
+        anchor = query % NUM_WINDOWS
+        backend.push()
+        for clock in clocks:
+            backend.add(Le(IntVal(anchor), clock))
+            backend.add(Le(clock, IntVal(anchor + NUM_CLOCKS - 2)))
+        outcome = backend.check()
+        assert outcome is CheckResult.UNSAT, (reduce_db, query, outcome)
+        backend.pop()
+        live_trace.append(backend.engine._sat.num_learned)
+    seconds = time.perf_counter() - start
+    sat_stats = backend.engine._sat.stats
+    return {
+        "seconds": seconds,
+        "live_trace": live_trace,
+        "peak_live": sat_stats.max_live_learned,
+        "learned_total": sat_stats.learned_clauses,
+        "reduce_rounds": sat_stats.reduce_db_rounds,
+        "clauses_deleted": sat_stats.clauses_deleted,
+        "conflicts": sat_stats.conflicts,
+        "decisions": sat_stats.decisions,
+    }
 
 
 @pytest.fixture(scope="module")
 def stream_results():
     return {
-        "enabled": _run_stream(reduce_db=True),
-        "disabled": _run_stream(reduce_db=False),
-        "legacy": _run_stream(reduce_db=True, legacy=True),
+        "enabled": run_stream(reduce_db=True),
+        "disabled": run_stream(reduce_db=False),
     }
 
 
 @pytest.mark.benchmark(group="clause-db")
-def test_flat_core_speeds_up_long_query_stream(stream_results, table_printer):
-    """The tentpole gate: the flat arena core must run the stream >= 2x
-    faster than the legacy object core (~3.5x measured) while taking the
-    *bit-identical* search path — same conflicts, decisions, learned
-    clauses, reduction rounds, deletions, and live-clause peak."""
-    flat = stream_results["enabled"]
-    legacy = stream_results["legacy"]
-    speedup = legacy["seconds"] / flat["seconds"]
-
-    table_printer(
-        f"Flat arena core vs legacy object core "
-        f"({NUM_QUERIES}-query delivery-window stream, reduction on)",
-        ["core", "seconds", "conflicts", "learned total", "rounds", "deleted"],
-        [
-            [
-                "flat",
-                f"{flat['seconds']:.2f}",
-                flat["conflicts"],
-                flat["learned_total"],
-                flat["reduce_rounds"],
-                flat["clauses_deleted"],
-            ],
-            [
-                "legacy",
-                f"{legacy['seconds']:.2f}",
-                legacy["conflicts"],
-                legacy["learned_total"],
-                legacy["reduce_rounds"],
-                legacy["clauses_deleted"],
-            ],
-            ["speedup", f"{speedup:.2f}x", "", "", "", ""],
-        ],
-    )
-
-    for counter in (
-        "conflicts",
-        "decisions",
-        "learned_total",
-        "reduce_rounds",
-        "clauses_deleted",
-        "peak_live",
-        "live_trace",
-    ):
-        assert flat[counter] == legacy[counter], (counter, flat[counter], legacy[counter])
-    assert speedup >= 2.0, (
-        f"flat core only {speedup:.2f}x faster "
-        f"({flat['seconds']:.2f}s vs {legacy['seconds']:.2f}s legacy)"
-    )
-
-
-@pytest.mark.benchmark(group="clause-db")
-def test_reduce_db_does_not_tax_the_stream(stream_results, table_printer):
-    """Reduction fires (rounds > 0, deletions > 0) and must not slow the
-    stream down.  On the flat core the two arms tie on wall time at this
-    workload size — the reducer's job here is bounding memory (next
-    test), so the gate is no-overhead, not speedup."""
+def test_reduce_db_fires_on_the_stream(stream_results, table_printer):
+    """Reduction fires (rounds > 0, deletions > 0) on the stream.  The two
+    arms tie on wall time at this workload size — the reducer's job here
+    is bounding memory (next test); the printed ratio's no-overhead floor
+    is gated by ``tools/bench_report.py``."""
     enabled = stream_results["enabled"]
     disabled = stream_results["disabled"]
     speedup = disabled["seconds"] / enabled["seconds"]
@@ -204,10 +140,7 @@ def test_reduce_db_does_not_tax_the_stream(stream_results, table_printer):
     assert enabled["reduce_rounds"] > 0
     assert enabled["clauses_deleted"] > 0
     assert disabled["reduce_rounds"] == 0
-    assert speedup >= 0.8, (
-        f"reduction taxes the stream {1 / speedup:.2f}x "
-        f"({enabled['seconds']:.2f}s vs {disabled['seconds']:.2f}s)"
-    )
+    assert disabled["clauses_deleted"] == 0
 
 
 @pytest.mark.benchmark(group="clause-db")

@@ -9,7 +9,7 @@ against the paper: the assertion ``A == Y`` is *violable* (verdict
 import pytest
 
 from repro.program import run_program
-from repro.verification import SymbolicVerifier, Verdict
+from repro.verification import Verdict, VerificationSession
 from repro.workloads import figure1_program
 
 
@@ -25,9 +25,9 @@ def test_record_trace(benchmark):
 def test_full_verification_pipeline(benchmark, table_printer):
     """Record + encode + solve + decode for the Figure 1 assertion."""
     program = figure1_program(assert_a_is_y=True)
-    verifier = SymbolicVerifier()
-
-    result = benchmark(lambda: verifier.verify_program(program, seed=0))
+    result = benchmark(
+        lambda: VerificationSession.from_program(program, seed=0).verdict()
+    )
     assert result.verdict is Verdict.VIOLATION
 
     summary = result.problem.size_summary()

@@ -3,19 +3,20 @@
 The workload is the shape the parallel subsystem is built for: a 32-trace
 mixed batch in which the same eight questions recur under different
 recording seeds (a nightly corpus, a fleet of identical services, repeated
-user traffic).  Three claims are checked:
+user traffic).  Three claims are checked, all on counters:
 
-* ``verify_many_parallel(jobs=4)`` answers the batch at least 2x faster
-  than the serial ``verify_many`` loop — on a multi-core host the win comes
-  from process sharding *and* fingerprint dedup; on a single-core host
-  (such as CI containers) dedup alone must still clear the bar, because the
-  batch's 32 traces collapse onto 8 distinct fingerprints.
+* A ``jobs=4`` batch solves each of the 8 distinct questions exactly once
+  (the 32 traces collapse onto 8 fingerprints) and spreads them over at
+  least two worker processes.
 * Verdicts are bit-identical to the serial path, in order.
 * A warm on-disk cache answers the repeated batch with **zero** solver
   calls: every result arrives ``from_cache`` and the cache records no
   misses.
 
-A scaling table (jobs = 1, 2, 4) is printed for the paper-style record.
+A scaling table (jobs = 1, 2, 4) with each lane's speedup over the serial
+``verify_many`` loop is printed for the paper-style record.  The speedup's
+floor (jobs=4 >= 2x serial) is gated by ``tools/bench_report.py``: a
+wall-clock ratio depends on the host's cores and load.
 """
 
 import os
@@ -25,6 +26,7 @@ import pytest
 
 from repro.program import run_program
 from repro.verification import (
+    ParallelVerifier,
     ResultCache,
     verify_many,
     verify_many_parallel,
@@ -52,7 +54,7 @@ DISTINCT_PROGRAMS = [
 RECORDING_SEEDS = range(4)
 
 
-def _mixed_batch():
+def mixed_batch():
     return [
         run_program(program, seed=seed).trace
         for seed in RECORDING_SEEDS
@@ -61,8 +63,8 @@ def _mixed_batch():
 
 
 @pytest.mark.benchmark(group="parallel")
-def test_parallel_batch_beats_serial(benchmark, table_printer):
-    batch = _mixed_batch()
+def test_parallel_batch_solves_each_question_once(benchmark, table_printer):
+    batch = mixed_batch()
     assert len(batch) == 32
 
     start = time.perf_counter()
@@ -70,19 +72,30 @@ def test_parallel_batch_beats_serial(benchmark, table_printer):
     serial_seconds = time.perf_counter() - start
 
     rows = []
-    parallel_seconds = {}
+    lanes = {}
     for jobs in (1, 2, 4):
-        start = time.perf_counter()
-        parallel = verify_many_parallel(batch, jobs=jobs)
-        elapsed = time.perf_counter() - start
-        parallel_seconds[jobs] = elapsed
+        with ParallelVerifier(jobs=jobs) as verifier:
+            start = time.perf_counter()
+            parallel = verifier.verify_many(batch)
+            elapsed = time.perf_counter() - start
+            # Per-worker session pools: a miss is one built-and-solved question.
+            pools = [
+                response["stats"]["pool"]
+                for response in verifier.pool.broadcast({"op": "stats"})
+            ]
         assert [r.verdict for r in parallel] == [r.verdict for r in serial]
         solved = sum(1 for r in parallel if not r.from_cache)
+        lanes[jobs] = {
+            "solved": solved,
+            "sessions": sum(pool["misses"] for pool in pools),
+            "workers": sum(1 for pool in pools if pool["misses"] + pool["hits"]),
+        }
         rows.append(
             [
                 f"jobs={jobs}",
                 len(batch),
                 solved,
+                lanes[jobs]["workers"],
                 f"{elapsed * 1000:.0f}",
                 f"{serial_seconds / elapsed:.2f}x",
             ]
@@ -90,15 +103,14 @@ def test_parallel_batch_beats_serial(benchmark, table_printer):
     table_printer(
         f"32-trace mixed batch — serial verify_many {serial_seconds * 1000:.0f} ms "
         f"(host cpus: {os.cpu_count()})",
-        ["path", "traces", "solver calls", "ms", "speedup vs serial"],
+        ["path", "traces", "solver calls", "workers", "ms", "speedup vs serial"],
         rows,
     )
 
-    speedup = serial_seconds / parallel_seconds[4]
-    assert speedup >= 2.0, (
-        f"verify_many_parallel(jobs=4) must be >= 2x the serial path, got "
-        f"{speedup:.2f}x ({serial_seconds:.2f}s vs {parallel_seconds[4]:.2f}s)"
-    )
+    distinct = len(DISTINCT_PROGRAMS)
+    for jobs, lane in lanes.items():
+        assert lane["solved"] == lane["sessions"] == distinct, (jobs, lane)
+    assert lanes[4]["workers"] >= 2, lanes[4]
 
     result = benchmark.pedantic(
         lambda: verify_many_parallel(batch, jobs=4), rounds=3, iterations=1
@@ -110,7 +122,7 @@ def test_parallel_batch_beats_serial(benchmark, table_printer):
 def test_warm_cache_answers_batch_with_zero_solver_calls(
     tmp_path, benchmark, table_printer
 ):
-    batch = _mixed_batch()
+    batch = mixed_batch()
     directory = str(tmp_path / "verdict-cache")
 
     cold_cache = ResultCache(directory=directory)

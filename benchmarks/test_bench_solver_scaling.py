@@ -18,7 +18,7 @@ import pytest
 from repro.encoding import TraceEncoder
 from repro.program import run_program
 from repro.smt import Solver
-from repro.verification import SymbolicVerifier, Verdict
+from repro.verification import Verdict, VerificationSession
 from repro.workloads import pipeline, racy_fanin
 
 
@@ -93,7 +93,7 @@ def test_end_to_end_verification_scaling(benchmark, table_printer):
     for senders in (2, 4, 6):
         program = racy_fanin(senders, assert_first_from_sender0=True)
         start = time.perf_counter()
-        result = SymbolicVerifier().verify_program(program, seed=0)
+        result = VerificationSession.from_program(program, seed=0).verdict()
         elapsed = time.perf_counter() - start
         assert result.verdict is Verdict.VIOLATION
         rows.append(
@@ -112,5 +112,7 @@ def test_end_to_end_verification_scaling(benchmark, table_printer):
 
     program = racy_fanin(4, assert_first_from_sender0=True)
     benchmark.pedantic(
-        lambda: SymbolicVerifier().verify_program(program, seed=0), rounds=3, iterations=1
+        lambda: VerificationSession.from_program(program, seed=0).verdict(),
+        rounds=3,
+        iterations=1,
     )

@@ -18,13 +18,13 @@ import time
 import pytest
 
 from repro.baselines import ExplicitStateExplorer, SleepSetExplorer
-from repro.verification import SymbolicVerifier, Verdict
+from repro.verification import Verdict, VerificationSession
 from repro.workloads import racy_fanin
 
 
 def _symbolic_seconds(program) -> float:
     start = time.perf_counter()
-    result = SymbolicVerifier().verify_program(program, seed=0)
+    result = VerificationSession.from_program(program, seed=0).verdict()
     assert result.verdict is Verdict.VIOLATION
     return time.perf_counter() - start
 
@@ -46,7 +46,9 @@ def _dpor_seconds(program) -> float:
 @pytest.mark.benchmark(group="symbolic-vs-explicit")
 def test_symbolic_verification_scaling(benchmark):
     program = racy_fanin(4, assert_first_from_sender0=True)
-    result = benchmark(lambda: SymbolicVerifier().verify_program(program, seed=0))
+    result = benchmark(
+        lambda: VerificationSession.from_program(program, seed=0).verdict()
+    )
     assert result.verdict is Verdict.VIOLATION
 
 
@@ -94,5 +96,7 @@ def test_runtime_comparison_table(benchmark, table_printer):
     # Timed entry for the benchmark database: the largest symbolic instance.
     program = racy_fanin(4, assert_first_from_sender0=True)
     benchmark.pedantic(
-        lambda: SymbolicVerifier().verify_program(program, seed=0), rounds=3, iterations=1
+        lambda: VerificationSession.from_program(program, seed=0).verdict(),
+        rounds=3,
+        iterations=1,
     )

@@ -19,8 +19,8 @@ Run with::
 
 from repro.encoding import ReceiveValueProperty
 from repro.program import ProgramBuilder, V, C, run_program
-from repro.smt import Eq, Ge, IntVal, SmtLibProcessBackend
-from repro.verification import SymbolicVerifier, Verdict, VerificationSession
+from repro.smt import Eq, IntVal, SmtLibPipeBackend
+from repro.verification import Verdict, VerificationSession
 
 
 def build_program():
@@ -42,10 +42,9 @@ def build_program():
 
 def main() -> None:
     program = build_program()
-    verifier = SymbolicVerifier()
 
     print("=== program assertion: first + second == 30 ===")
-    result = verifier.verify_program(program, seed=0)
+    result = VerificationSession.from_program(program, seed=0).verdict()
     print(f"verdict: {result.verdict.value}   (expected: safe — the sum is order independent)")
     print()
 
@@ -68,12 +67,12 @@ def main() -> None:
     print("...")
     print()
 
-    # The same script can be solved by an external solver instead of the
+    # The same problem can be solved by an external solver instead of the
     # in-tree engine: set REPRO_SMT_SOLVER (e.g. to "z3") and open the
-    # session with backend="smtlib".
-    if SmtLibProcessBackend.is_available():
+    # session with backend="smtlib-pipe".
+    if SmtLibPipeBackend.is_available():
         external = VerificationSession(
-            run.trace, properties=[prop], backend="smtlib"
+            run.trace, properties=[prop], backend="smtlib-pipe"
         ).verdict()
         print(f"external solver verdict: {external.verdict.value}")
     else:

@@ -8,7 +8,7 @@ The package is organised bottom-up:
   engine, SMT-LIB export) behind a pluggable
   :class:`~repro.smt.backend.SolverBackend` registry, standing in for the
   Yices solver the paper used — or delegating to a real external solver via
-  the ``smtlib`` backend.
+  the ``smtlib-pipe`` backend.
 * :mod:`repro.mcapi` — a simulator of the MCAPI connectionless-message API
   with an explicitly non-deterministic delivery network.
 * :mod:`repro.program` — a small concurrent modelling language plus a
@@ -18,9 +18,8 @@ The package is organised bottom-up:
   and the paper's precise depth-first abstract execution).
 * :mod:`repro.encoding` — the paper's contribution: the SMT encoding
   ``P = POrder ∧ PMatchPairs ∧ PUnique ∧ ¬PProp ∧ PEvents``.
-* :mod:`repro.verification` — the session-based verification API, the
-  legacy verifier shim, witness decoding and replay, and the
-  ``mcapi-verify`` CLI.
+* :mod:`repro.verification` — the session-based verification API,
+  witness decoding and replay, and the ``mcapi-verify`` CLI.
 * :mod:`repro.service` — verification as a service: a JSON-RPC daemon
   (``mcapi-verify serve``) with pooled warm sessions, per-request
   deadlines backed by killable workers, and a blocking
@@ -41,15 +40,13 @@ Quickstart — encode once, query many times::
     for matching in session.pairings():     # every admissible pairing,
         print(matching)                     # solved warm on one backend
 
-Batch traffic goes through :func:`verify_many`; the legacy call-per-query
-:class:`SymbolicVerifier` keeps working unchanged as a shim over sessions.
+Batch traffic goes through :func:`verify_many`.
 """
 
 __version__ = "2.0.0"
 
 from repro.verification.result import Verdict, VerificationResult
 from repro.verification.session import VerificationSession, verify_many
-from repro.verification.verifier import SymbolicVerifier
 from repro.encoding.encoder import EncoderOptions, MatchPairStrategy, TraceEncoder
 from repro.encoding.properties import DeadlockProperty, OrphanMessageProperty
 from repro.program.interpreter import run_program
@@ -58,7 +55,6 @@ from repro.service.client import ServiceClient
 from repro.smt.backend import (
     DpllTBackend,
     SmtLibPipeBackend,
-    SmtLibProcessBackend,
     SolverBackend,
     available_backends,
     create_backend,
@@ -74,7 +70,6 @@ from repro.utils.errors import (
 __all__ = [
     "VerificationSession",
     "verify_many",
-    "SymbolicVerifier",
     "Verdict",
     "VerificationResult",
     "EncoderOptions",
@@ -86,7 +81,6 @@ __all__ = [
     "static_trace",
     "SolverBackend",
     "DpllTBackend",
-    "SmtLibProcessBackend",
     "SmtLibPipeBackend",
     "ServiceClient",
     "available_backends",

@@ -56,12 +56,14 @@ from repro.program.ast import Program
 from repro.program.interpreter import run_program
 from repro.program.statictrace import static_trace
 from repro.service.protocol import result_to_payload
+from repro.smt.backend import available_backends
 from repro.trace.fingerprint import trace_fingerprint
 from repro.utils.errors import (
     BackendUnavailableError,
     ReproError,
     ServiceError,
     SolverError,
+    UnknownBackendError,
 )
 from repro.verification.cache import (
     CacheKey,
@@ -103,7 +105,7 @@ DEGRADATION_LOG_SIZE = 64
 
 #: External backends that degrade to the in-tree engine when their solver
 #: binary is lost mid-flight (see :meth:`_Executor._verify`).
-_DEGRADABLE_BACKENDS = ("smtlib", "smtlib-pipe")
+_DEGRADABLE_BACKENDS = ("smtlib-pipe",)
 
 
 class _WorkerDied(ServiceError):
@@ -150,9 +152,23 @@ def build_program(workload: str, params: Optional[Dict[str, object]]) -> Program
     return WORKLOADS[workload].build(args)
 
 
-#: Workload-spec keys that are no longer served: a request naming one gets
-#: an error instead of a silent answer under the defaults.
-_RETIRED_SPEC_KEYS = ("theory_mode", "max_iterations")
+#: The keys a workload spec may carry (``limit`` is the enumerate op's).
+#: Any other key -- a typo or a retired option -- is an error reply, never
+#: a silent answer under the defaults.
+_SPEC_KEYS = frozenset(
+    (
+        "op",
+        "workload",
+        "params",
+        "seed",
+        "mode",
+        "backend",
+        "timeout_s",
+        "match_pairs",
+        "pair_fifo",
+        "limit",
+    )
+)
 
 #: Accepted ``match_pairs`` values of a workload spec (absent = endpoint).
 _MATCH_PAIRS = (None, "endpoint", "precise")
@@ -279,9 +295,18 @@ class _Executor:
         workload = spec.get("workload")
         if not isinstance(workload, str):
             raise ServiceError("request needs a workload name")
-        for name in _RETIRED_SPEC_KEYS:
-            if name in spec:
-                raise ServiceError(f"request key {name!r} is no longer supported")
+        unsupported = sorted(set(spec) - _SPEC_KEYS)
+        if unsupported:
+            raise ServiceError(
+                f"unsupported request key(s) {', '.join(map(repr, unsupported))}; "
+                f"a workload spec takes {', '.join(sorted(_SPEC_KEYS))}"
+            )
+        backend = str(spec.get("backend") or "dpllt")
+        if backend not in available_backends():
+            raise UnknownBackendError(
+                f"unknown solver backend {backend!r}; available: "
+                + ", ".join(available_backends())
+            )
         options = _request_options(spec)
         program = build_program(workload, spec.get("params"))
         seed = int(spec.get("seed", 0))
@@ -290,11 +315,10 @@ class _Executor:
             trace, run = static_trace(program), None
         else:
             trace = run.trace
-        backend = spec.get("backend") or "dpllt"
         key = PoolKey(
             fingerprint=trace_fingerprint(trace),
             options=_options_signature(options),
-            backend=str(backend),
+            backend=backend,
         )
         entry = self.pool.get(key)
         if entry is not None:

@@ -122,7 +122,7 @@ class VerificationService:
         if not response.get("ok"):
             kind = response.get("kind", "ServiceError")
             message = response.get("error", "request failed")
-            if kind in ("ServiceError", "EncodingError"):
+            if kind in ("ServiceError", "EncodingError", "UnknownBackendError"):
                 raise ServiceError(f"{kind}: {message}")
             raise ReproError(f"{kind}: {message}")
         response.pop("ok", None)

@@ -14,7 +14,7 @@ must be dependency-free, the package provides the full stack from scratch:
 * :mod:`repro.smt.dpllt` — the incremental DPLL(T) engine, with the theories
   integrated online into the SAT search,
 * :mod:`repro.smt.backend` — the :class:`SolverBackend` protocol, registry
-  and the in-tree / external-process implementations,
+  and the in-tree / external-solver-pipe implementations,
 * :mod:`repro.smt.solver` — the public :class:`Solver` facade,
 * :mod:`repro.smt.smtlib` — SMT-LIB v2 export for cross-checking.
 """
@@ -54,7 +54,7 @@ from repro.smt.dimacs import DimacsProblem, load_dimacs, parse_dimacs
 from repro.smt.models import Model
 from repro.smt.backend import (
     DpllTBackend,
-    SmtLibProcessBackend,
+    SmtLibPipeBackend,
     SolverBackend,
     available_backends,
     create_backend,
@@ -104,7 +104,7 @@ __all__ = [
     "Solver",
     "SolverBackend",
     "DpllTBackend",
-    "SmtLibProcessBackend",
+    "SmtLibPipeBackend",
     "available_backends",
     "create_backend",
     "register_backend",

@@ -10,12 +10,12 @@ against.  Two implementations ship in-tree:
   :class:`~repro.smt.dpllt.IncrementalDpllTEngine`, which keeps its SAT
   core, Tseitin cache and learned theory lemmas alive across ``check``
   calls instead of rebuilding the engine per query.
-* :class:`SmtLibProcessBackend` — pipes the SMT-LIB v2 rendering of the
-  assertion set to an external solver binary (z3, cvc5, yices-smt2, ...)
-  named by the ``REPRO_SMT_SOLVER`` environment variable or an explicit
-  ``command``.  This is the seam the paper's tool used for Yices; when no
-  binary is configured the backend reports itself unavailable and callers
-  skip it gracefully.
+* :class:`SmtLibPipeBackend` — keeps one external solver binary (z3,
+  cvc5, yices-smt2, ...) alive and drives it incrementally over SMT-LIB v2
+  on its stdin.  The binary is named by the ``REPRO_SMT_SOLVER``
+  environment variable or an explicit ``command``.  This is the seam the
+  paper's tool used for Yices; when no binary is configured the backend
+  reports itself unavailable and callers skip it gracefully.
 
 Backends are resolved by name through a registry so that deployments can
 plug in their own (:func:`register_backend`).
@@ -29,7 +29,6 @@ import select
 import shlex
 import shutil
 import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -47,7 +46,7 @@ from repro import faults
 from repro.smt.dpllt import CheckResult, IncrementalDpllTEngine
 from repro.smt.models import Model
 from repro.smt.sat import DEFAULT_REDUCE_BASE, DEFAULT_THEORY_BUMP
-from repro.smt.smtlib import _collect_declarations, to_smtlib
+from repro.smt.smtlib import _collect_declarations
 from repro.smt.terms import Term, free_variables
 from repro.utils.errors import (
     BackendUnavailableError,
@@ -60,7 +59,6 @@ __all__ = [
     "SolverBackend",
     "BackendSpec",
     "DpllTBackend",
-    "SmtLibProcessBackend",
     "SmtLibPipeBackend",
     "register_backend",
     "create_backend",
@@ -249,20 +247,8 @@ class DpllTBackend:
 
 
 # ---------------------------------------------------------------------------
-# External SMT-LIB process backend
+# SMT-LIB output parsing
 # ---------------------------------------------------------------------------
-
-
-class _DeadlineExpired(Exception):
-    """Internal: the backend deadline lapsed before the check finished."""
-
-
-class _PipeTimeout(Exception):
-    """Internal: no pipe output arrived before the I/O deadline."""
-
-
-class _PipeClosed(Exception):
-    """Internal: the piped solver process died or desynchronised."""
 
 
 _SEXPR_TOKEN = re.compile(r"\(|\)|[^\s()]+")
@@ -317,215 +303,25 @@ def _collect_define_funs(exprs, values: Dict[str, object]) -> None:
             _collect_define_funs(expr, values)
 
 
-class SmtLibProcessBackend:
-    """Solve by piping SMT-LIB v2 scripts to an external solver process.
-
-    The solver command comes from the ``command`` argument or the
-    ``REPRO_SMT_SOLVER`` environment variable (e.g. ``z3``, ``cvc5 -L
-    smt2``, ``yices-smt2``).  Every ``check`` writes the current assertion
-    set (plus call-scoped assumptions) to a temporary ``.smt2`` file, runs
-    the solver on it and parses the verdict and, for SAT, the
-    ``(get-model)`` output.
-
-    The process is one-shot per check — external incrementality would need
-    a long-lived pipe session — so this backend trades speed for
-    cross-checking power: it exists to validate the in-tree engine against
-    an industrial solver and to scale past what pure Python can do.
-    """
-
-    name = "smtlib"
-
-    def __init__(
-        self,
-        command: Union[str, Sequence[str], None] = None,
-        timeout: float = 60.0,
-        max_iterations: Optional[int] = None,  # accepted for factory parity
-        reduce_db: Optional[bool] = None,  # accepted for factory parity
-        reduce_base: Optional[int] = None,  # accepted for factory parity
-        theory_bump: Optional[float] = None,  # accepted for factory parity
-        idl_propagation: Optional[bool] = None,  # accepted for factory parity
-    ) -> None:
-        if command is None:
-            command = os.environ.get(SMTLIB_SOLVER_ENV)
-        if not command:
-            raise BackendUnavailableError(
-                "no external SMT solver configured; set the "
-                f"{SMTLIB_SOLVER_ENV} environment variable (e.g. to 'z3') or "
-                "pass command= explicitly"
-            )
-        self._command = shlex.split(command) if isinstance(command, str) else list(command)
-        if shutil.which(self._command[0]) is None:
-            raise BackendUnavailableError(
-                f"external SMT solver binary {self._command[0]!r} not found on PATH"
-            )
-        self._timeout = timeout
-        self._deadline: Optional[float] = None
-        self._assertions: List[Term] = []
-        self._scopes: List[int] = []
-        self._last_result: Optional[CheckResult] = None
-        self._last_model: Optional[Model] = None
-        self._checks = 0
-
-    @classmethod
-    def is_available(cls, command: Union[str, Sequence[str], None] = None) -> bool:
-        """True when a usable solver command is configured on this host."""
-        try:
-            cls(command=command)
-        except BackendUnavailableError:
-            return False
-        return True
-
-    def set_deadline(self, deadline: Optional[float]) -> None:
-        """Bound later checks by a ``time.monotonic`` instant (None clears).
-
-        A check that cannot finish before the deadline returns
-        :data:`~repro.smt.dpllt.CheckResult.UNKNOWN` instead of raising,
-        mirroring :meth:`DpllTBackend.set_deadline`.
-        """
-        self._deadline = deadline
-
-    # -- assertion management --------------------------------------------------
-
-    def add(self, *terms: Term) -> None:
-        for term in terms:
-            self._assertions.append(_validate_assertion(term))
-        self._last_result = None
-        self._last_model = None
-
-    def add_all(self, terms: Iterable[Term]) -> None:
-        self.add(*terms)
-
-    def push(self) -> None:
-        self._scopes.append(len(self._assertions))
-
-    def pop(self) -> None:
-        if not self._scopes:
-            raise SolverError("pop without matching push")
-        size = self._scopes.pop()
-        del self._assertions[size:]
-        self._last_result = None
-        self._last_model = None
-
-    # -- solving ----------------------------------------------------------------
-
-    def check(self, *assumptions: Term) -> CheckResult:
-        terms = self._assertions + [_validate_assertion(a) for a in assumptions]
-        script = to_smtlib(terms, get_model=True)
-        try:
-            output, returncode = self._run(script)
-        except _DeadlineExpired:
-            self._checks += 1
-            self._last_result = CheckResult.UNKNOWN
-            self._last_model = None
-            return CheckResult.UNKNOWN
-        self._checks += 1
-        verdict, model = self._parse_output(output, terms, returncode)
-        self._last_result = verdict
-        self._last_model = model
-        return verdict
-
-    def model(self) -> Model:
-        if self._last_result is not CheckResult.SAT or self._last_model is None:
-            raise SolverError("model() requires the previous check() to be SAT")
-        return self._last_model
-
-    def statistics(self) -> Dict[str, int]:
-        if self._checks == 0:
-            return {}
-        return {"external_checks": self._checks}
-
-    # -- internals ----------------------------------------------------------------
-
-    def _run(self, script: str) -> Tuple[str, int]:
-        timeout = self._timeout
-        if self._deadline is not None:
-            remaining = self._deadline - time.monotonic()
-            if remaining <= 0:
-                raise _DeadlineExpired()
-            timeout = min(timeout, remaining)
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".smt2", prefix="repro-", delete=False
-        ) as handle:
-            handle.write(script)
-            path = handle.name
-        try:
-            proc = subprocess.run(
-                self._command + [path],
-                capture_output=True,
-                text=True,
-                timeout=timeout,
-            )
-        except subprocess.TimeoutExpired as exc:
-            if self._deadline is not None and time.monotonic() >= self._deadline:
-                raise _DeadlineExpired() from exc
-            raise SolverError(
-                f"external solver timed out after {self._timeout}s"
-            ) from exc
-        finally:
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - cleanup best effort
-                pass
-        output = (proc.stdout or "") + ("\n" + proc.stderr if proc.stderr else "")
-        return output, proc.returncode
-
-    def _parse_output(self, output: str, terms: Sequence[Term], returncode: int = 0):
-        # Find the verdict first.  Error chatter after an 'unknown' answer
-        # (e.g. z3/yices printing '(error "model is not available")' for the
-        # unconditional (get-model)) must not mask the verdict itself, and
-        # some solvers exit nonzero while still printing a usable verdict.
-        verdict: Optional[CheckResult] = None
-        rest_lines: List[str] = []
-        for line in output.splitlines():
-            stripped = line.strip()
-            if verdict is None and stripped in ("sat", "unsat", "unknown"):
-                verdict = CheckResult(stripped)
-                continue
-            rest_lines.append(line)
-        if verdict is None:
-            if returncode != 0:
-                raise SolverError(
-                    f"external solver exited with status {returncode} and no "
-                    f"verdict:\n{output.strip() or '(no output)'}"
-                )
-            raise SolverError(
-                f"could not find sat/unsat/unknown in solver output:\n{output.strip()}"
-            )
-        model: Optional[Model] = None
-        if verdict is CheckResult.SAT:
-            values: Dict[str, object] = {}
-            _collect_define_funs(_parse_sexprs("\n".join(rest_lines)), values)
-            names: Dict[str, object] = {}
-            for term in terms:
-                names.update(free_variables(term))
-            if names and not values:
-                # 'sat' but no parseable model: defaulting every variable
-                # would fabricate a witness, so fail loudly instead.
-                raise SolverError(
-                    "external solver answered sat but returned no model:\n"
-                    + output.strip()
-                )
-            for name, sort in names.items():
-                if name not in values:
-                    values[name] = False if getattr(sort, "is_bool", False) else 0
-            model = Model(values)  # type: ignore[arg-type]
-        return verdict, model
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SmtLibProcessBackend({' '.join(self._command)!r})"
-
-
 # ---------------------------------------------------------------------------
 # Pooled SMT-LIB pipe backend
 # ---------------------------------------------------------------------------
 
 
+class _PipeTimeout(Exception):
+    """Internal: no pipe output arrived before the I/O deadline."""
+
+
+class _PipeClosed(Exception):
+    """Internal: the piped solver process died or desynchronised."""
+
+
 class SmtLibPipeBackend:
     """Keep one external solver alive and talk SMT-LIB over its stdin pipe.
 
-    Where :class:`SmtLibProcessBackend` pays a process launch plus a full
-    script re-parse for every ``check``, this backend holds a single solver
-    session open and drives it incrementally: assumption-scoped checks use
+    The backend holds a single solver session open and drives it
+    incrementally, so no ``check`` pays a process launch or a full script
+    re-parse: assumption-scoped checks use
     ``(push 1)`` / ``(pop 1)``, and the session is recycled in place with
     ``(reset-assertions)`` after :attr:`recycle_after` checks so solver-side
     garbage (learned lemmas for long-dead scopes, allocator growth) cannot
@@ -723,13 +519,18 @@ class SmtLibPipeBackend:
                 verdict = CheckResult(line)
         if verdict is None:
             raise _PipeClosed()  # desync: rebuild the session and retry
-        model: Optional[Model] = None
+        model_lines: Optional[List[str]] = None
         if verdict is CheckResult.SAT:
             self._write(["(get-model)"])
-            model = self._parse_model(
-                self._sync(deadline), self._assertions + assumptions
-            )
+            model_lines = self._sync(deadline)
+        # Close the check's scope before parsing: a model the parser
+        # rejects must not leave the assumptions asserted in the session.
         self._write(["(pop 1)"])
+        self._last_result = None
+        self._last_model = None
+        model: Optional[Model] = None
+        if model_lines is not None:
+            model = self._parse_model(model_lines, self._assertions + assumptions)
         self._checks += 1
         self._checks_since_reset += 1
         self._last_result = verdict
@@ -932,7 +733,7 @@ def create_backend(
 ) -> "SolverBackend":
     """Resolve ``spec`` into a live backend instance.
 
-    ``spec`` may be a registry name (``"dpllt"``, ``"smtlib"``, ...), a
+    ``spec`` may be a registry name (``"dpllt"``, ``"smtlib-pipe"``, ...), a
     :class:`BackendSpec`, an already-constructed backend (returned as-is,
     ``kwargs`` ignored), or ``None`` for the default DPLL(T) backend.
     """
@@ -959,5 +760,4 @@ def create_backend(
 
 
 register_backend(DpllTBackend.name, DpllTBackend)
-register_backend(SmtLibProcessBackend.name, SmtLibProcessBackend)
 register_backend(SmtLibPipeBackend.name, SmtLibPipeBackend)

@@ -94,8 +94,8 @@ class SmtStats:
     reduce_db_rounds: int = 0
     clauses_deleted: int = 0
     max_live_learned: int = 0
-    #: Flat-core arena gauges: compaction sweeps performed and the arena
-    #: footprint (bytes) after the last one.  Both 0 on the legacy core.
+    #: SAT-core arena gauges: compaction sweeps performed and the arena
+    #: footprint (bytes) after the last one.
     compactions: int = 0
     arena_bytes: int = 0
 
@@ -632,8 +632,8 @@ class IncrementalDpllTEngine:
             # A gauge, not a counter: the engine-lifetime peak is the number
             # that shows whether the live clause set stays bounded.
             stats.max_live_learned = sat.stats.max_live_learned
-            stats.compactions = getattr(sat.stats, "compactions", 0)
-            stats.arena_bytes = getattr(sat.stats, "arena_bytes", 0)
+            stats.compactions = sat.stats.compactions
+            stats.arena_bytes = sat.stats.arena_bytes
 
     def model(self) -> Model:
         """The model of the last :meth:`check`, which must have returned SAT."""

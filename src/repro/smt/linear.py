@@ -17,8 +17,8 @@ single ``LinearLe`` — a property the lazy DPLL(T) loop relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.smt.terms import Term
 from repro.utils.errors import SolverError
@@ -34,14 +34,6 @@ class LinearExpr:
     const: int = 0
 
     @staticmethod
-    def constant(value: int) -> "LinearExpr":
-        return LinearExpr((), value)
-
-    @staticmethod
-    def variable(name: str) -> "LinearExpr":
-        return LinearExpr(((name, 1),), 0)
-
-    @staticmethod
     def from_dict(coeffs: Dict[str, int], const: int = 0) -> "LinearExpr":
         items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
         return LinearExpr(items, const)
@@ -49,25 +41,9 @@ class LinearExpr:
     def as_dict(self) -> Dict[str, int]:
         return dict(self.coeffs)
 
-    def add(self, other: "LinearExpr") -> "LinearExpr":
-        coeffs = self.as_dict()
-        for var, coeff in other.coeffs:
-            coeffs[var] = coeffs.get(var, 0) + coeff
-        return LinearExpr.from_dict(coeffs, self.const + other.const)
-
-    def scale(self, factor: int) -> "LinearExpr":
-        if factor == 0:
-            return LinearExpr.constant(0)
-        return LinearExpr.from_dict(
-            {v: c * factor for v, c in self.coeffs}, self.const * factor
-        )
-
     def negate(self) -> "LinearExpr":
         # Negation keeps the sorted order and nonzero coefficients.
         return LinearExpr(tuple((v, -c) for v, c in self.coeffs), -self.const)
-
-    def sub(self, other: "LinearExpr") -> "LinearExpr":
-        return self.add(other.negate())
 
     @property
     def is_constant(self) -> bool:

@@ -4,9 +4,9 @@
 ``check`` / ``model``) over a pluggable :class:`repro.smt.backend.SolverBackend`.
 The default backend is the in-tree incremental DPLL(T) engine, which keeps
 its learned state alive between ``check`` calls; passing
-``backend="smtlib"`` (with an external solver configured via the
+``backend="smtlib-pipe"`` (with an external solver configured via the
 ``REPRO_SMT_SOLVER`` environment variable) swaps in an external SMT-LIB
-process instead — the swap the paper performed with Yices.
+solver process instead — the swap the paper performed with Yices.
 
 The facade itself only mirrors the assertion stack so that
 :meth:`assertions` and :meth:`to_smtlib` work uniformly; all solving is

@@ -6,8 +6,6 @@ workloads are reproducible run-to-run.
 """
 
 from repro.utils.rng import DeterministicRNG
-from repro.utils.timing import Stopwatch, Timer
-from repro.utils.ids import IdGenerator
 from repro.utils.unionfind import UnionFind
 from repro.utils.errors import (
     ReproError,
@@ -20,9 +18,6 @@ from repro.utils.errors import (
 
 __all__ = [
     "DeterministicRNG",
-    "Stopwatch",
-    "Timer",
-    "IdGenerator",
     "UnionFind",
     "ReproError",
     "EncodingError",

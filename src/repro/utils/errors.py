@@ -23,7 +23,7 @@ class UnknownBackendError(SolverError):
 class BackendUnavailableError(SolverError):
     """Raised when a registered backend cannot run in this environment.
 
-    The canonical case is :class:`repro.smt.backend.SmtLibProcessBackend`
+    The canonical case is :class:`repro.smt.backend.SmtLibPipeBackend`
     when no external SMT solver binary is configured.
     """
 

@@ -1,9 +1,8 @@
-"""Verification front-end: sessions, the symbolic verifier shim, replay, CLI.
+"""Verification front-end: sessions, batch verification, replay, CLI.
 
-The primary entry point is :class:`VerificationSession` (encode once, query
-many times against one incremental solver backend) together with the batch
-helper :func:`verify_many`; :class:`SymbolicVerifier` remains as a
-backwards-compatible call-per-query facade.  Batch traffic scales out
+The entry point is :class:`VerificationSession` (encode once, query many
+times against one incremental solver backend) together with the batch
+helper :func:`verify_many`.  Batch traffic scales out
 through :class:`ParallelVerifier` / :func:`verify_many_parallel`
 (fingerprint dedup, dispatch on the service's worker pool) with answers
 memoised in a :class:`ResultCache`.
@@ -16,7 +15,6 @@ from repro.verification.session import (
     resolve_mode,
     verify_many,
 )
-from repro.verification.verifier import SymbolicVerifier
 from repro.verification.replay import (
     ReplayOutcome,
     deadlock_witness_schedule,
@@ -46,7 +44,6 @@ __all__ = [
     "ResultCache",
     "CacheKey",
     "make_cache_key",
-    "SymbolicVerifier",
     "Verdict",
     "VerificationResult",
     "ReplayOutcome",

@@ -7,7 +7,7 @@ verdict together with a counterexample (when one exists)::
     mcapi-verify --workload figure1 --property a-is-y
     mcapi-verify --workload racy_fanin --senders 3 --seed 2 --show-smt
     mcapi-verify --list-workloads
-    mcapi-verify --workload figure1 --backend smtlib   # external solver
+    mcapi-verify --workload figure1 --backend smtlib-pipe   # external solver
     mcapi-verify --workload circular_wait --check-deadlock
     mcapi-verify --workload racy_fanin --stats          # solver statistics
 
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="dpllt",
         choices=available_backends(),
-        help="solver backend (smtlib needs REPRO_SMT_SOLVER to name a binary)",
+        help="solver backend (smtlib-pipe needs REPRO_SMT_SOLVER to name a binary)",
     )
     parser.add_argument(
         "--stats",

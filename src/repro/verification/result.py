@@ -1,8 +1,7 @@
 """Verification verdicts and results.
 
-Shared by the session API (:mod:`repro.verification.session`) and the
-backwards-compatible :class:`repro.verification.verifier.SymbolicVerifier`
-facade.
+Produced by the session API (:mod:`repro.verification.session`), the
+batch lanes built on it and the verification service.
 """
 
 from __future__ import annotations

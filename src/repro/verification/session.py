@@ -27,10 +27,7 @@ Quickstart::
     for matching in session.pairings():  # every admissible send/recv pairing
         print(matching)
 
-For one-shot batch traffic use :func:`verify_many`, and for the legacy
-call-per-query interface keep using
-:class:`~repro.verification.verifier.SymbolicVerifier`, which is now a thin
-shim over sessions.
+For one-shot batch traffic use :func:`verify_many`.
 """
 
 from __future__ import annotations
@@ -130,9 +127,9 @@ class VerificationSession:
         Encoder configuration (match-pair strategy, FIFO extension, ...).
     properties:
         Correctness properties; defaults to the assertions recorded in the
-        trace, exactly like the legacy verifier.
+        trace.
     backend:
-        A backend registry name (``"dpllt"``, ``"smtlib"``), a live
+        A backend registry name (``"dpllt"``, ``"smtlib-pipe"``), a live
         :class:`~repro.smt.backend.SolverBackend`, or ``None`` for the
         default incremental DPLL(T) backend.
     max_solver_iterations:

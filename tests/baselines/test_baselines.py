@@ -20,7 +20,7 @@ from repro.baselines import (
 from repro.baselines.explicit import canonical_matching
 from repro.program import run_program
 from repro.smt import CheckResult, Solver
-from repro.verification import SymbolicVerifier, Verdict
+from repro.verification import Verdict, VerificationSession
 from repro.workloads import (
     branching_consumer,
     figure1_program,
@@ -135,7 +135,7 @@ class TestElwakilBaseline:
         assert solver.check() is CheckResult.UNSAT
 
     def test_faithful_encoding_finds_it(self, figure1_trace):
-        result = SymbolicVerifier().verify_trace(figure1_trace)
+        result = VerificationSession(figure1_trace).verdict()
         assert result.verdict is Verdict.VIOLATION
 
     def test_elwakil_admits_only_figure4a(self):
@@ -192,10 +192,9 @@ class TestCrossValidation:
     )
     def test_symbolic_pairings_equal_explicit_behaviours(self, program):
         run = run_program(program, seed=0)
-        verifier = SymbolicVerifier()
+        session = VerificationSession(run.trace, properties=[])
         symbolic = {
-            canonical_matching(run.trace, m)
-            for m in verifier.enumerate_pairings(run.trace)
+            canonical_matching(run.trace, m) for m in session.enumerate_pairings()
         }
         explicit = ExplicitStateExplorer(program).explore().matchings
         assert symbolic == explicit
@@ -212,7 +211,7 @@ class TestCrossValidation:
         ids=lambda value: getattr(value, "name", str(value)),
     )
     def test_verdicts_agree_with_ground_truth(self, program, expect_violation):
-        symbolic = SymbolicVerifier().verify_program(program, seed=0)
+        symbolic = VerificationSession.from_program(program, seed=0).verdict()
         explicit = ExplicitStateExplorer(program).explore()
         assert (symbolic.verdict is Verdict.VIOLATION) == expect_violation
         assert bool(explicit.assertion_failures) == expect_violation

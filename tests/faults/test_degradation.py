@@ -5,7 +5,7 @@ Two ladders, both answering the *same verdict* a healthy run would:
 * engine: native SAT kernel → pure-Python propagation when the kernel
   fails to load or faults at runtime (watch lists migrate back to Python
   mid-solve);
-* backend: ``smtlib`` / ``smtlib-pipe`` → the in-tree ``dpllt`` engine
+* backend: ``smtlib-pipe`` → the in-tree ``dpllt`` engine
   when the external solver binary dies twice on one check, recorded as a
   structured degradation event in the executor's statistics.
 """
@@ -13,7 +13,7 @@ Two ladders, both answering the *same verdict* a healthy run would:
 import pytest
 
 from repro import faults
-from repro.service.pool import WorkerPool
+from repro.service.pool import _DEGRADABLE_BACKENDS, WorkerPool
 from repro.smt import satkernel
 from repro.smt import Ge, IntVal, IntVar, Le
 from repro.smt.backend import SmtLibPipeBackend
@@ -111,7 +111,7 @@ class TestBackendLadder:
         pool = WorkerPool(jobs=0)
         try:
             executor = pool._inline
-            assert "dpllt" not in ("smtlib", "smtlib-pipe")
+            assert "dpllt" not in _DEGRADABLE_BACKENDS
             response = pool.submit({"op": "verify", "workload": "figure1"})
             assert response["ok"]
             assert "degraded_from" not in (

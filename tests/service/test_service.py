@@ -150,6 +150,8 @@ class TestDispatchErrors:
             {"theory_mode": "offline"},
             {"theory_mode": "online"},
             {"max_iterations": 0},
+            {"match_pair": "precise"},
+            {"seeds": 3},
         ],
     )
     def test_unsupported_spec_value_is_an_error_and_pools_nothing(
@@ -162,6 +164,33 @@ class TestDispatchErrors:
         assert response["error"]["code"] == protocol.INVALID_PARAMS
         pool = service.pool.statistics()["pool"]
         assert pool["entries"] == [] and pool["misses"] == 0
+
+    def test_misspelt_key_is_refused_not_served_as_endpoint(self, service):
+        """A typo'd ``match_pair`` used to be ignored, so the request was
+        answered under the endpoint strategy and parked a warm session."""
+        response = service.handle_json(
+            _request("verify", {"workload": "figure1", "match_pair": "precise"})
+        )
+        assert response["error"]["code"] == protocol.INVALID_PARAMS
+        assert "'match_pair'" in response["error"]["message"]
+        assert len(service.pool._inline.pool) == 0
+
+    @pytest.mark.parametrize("backend", ["smtlib", "no-such-backend"])
+    def test_unknown_backend_is_an_error_not_a_degradation(
+        self, service, backend, monkeypatch
+    ):
+        """The retired one-shot ``smtlib`` name resolves like any unknown
+        name -- even with an external solver configured, it is never
+        answered by ``dpllt`` through the backend ladder."""
+        monkeypatch.setenv("REPRO_SMT_SOLVER", "true")
+        response = service.handle_json(
+            _request("verify", {"workload": "figure1", "backend": backend})
+        )
+        assert response["error"]["code"] == protocol.INVALID_PARAMS
+        assert "UnknownBackendError" in response["error"]["message"]
+        stats = service.pool.statistics()
+        assert stats["pool"]["entries"] == [] and stats["pool"]["misses"] == 0
+        assert stats["degradations"] == [] and stats["degradations_total"] == 0
 
     def test_budgeted_spec_cannot_poison_the_warm_pool(self, service):
         """A per-request iteration budget is not part of the pool key, so a

@@ -1,9 +1,6 @@
 """Tests for the solver-backend layer: incrementality semantics, the
-backend registry, and the external SMT-LIB process backend."""
-
-import os
-import stat
-import sys
+backend registry and SMT-LIB output parsing.  The external-solver backend
+has its own suite, ``test_pipe_backend.py``."""
 
 import pytest
 
@@ -20,7 +17,6 @@ from repro.smt import (
     Lt,
     Not,
     Or,
-    SmtLibProcessBackend,
     Solver,
     available_backends,
     create_backend,
@@ -28,11 +24,7 @@ from repro.smt import (
 )
 from repro.smt.backend import _parse_sexprs
 from repro.smt.dpllt import IncrementalDpllTEngine
-from repro.utils.errors import (
-    BackendUnavailableError,
-    SolverError,
-    UnknownBackendError,
-)
+from repro.utils.errors import SolverError, UnknownBackendError
 
 
 x, y, z = IntVar("x"), IntVar("y"), IntVar("z")
@@ -290,7 +282,15 @@ class TestRegistry:
     def test_builtin_backends_registered(self):
         names = available_backends()
         assert "dpllt" in names
-        assert "smtlib" in names
+        assert "smtlib-pipe" in names
+
+    def test_retired_one_shot_name_is_unknown(self, monkeypatch):
+        """``smtlib`` named the one-shot process backend; the pipe backend
+        replaced it, and the old name resolves like any unknown name."""
+        monkeypatch.setenv("REPRO_SMT_SOLVER", "true")
+        assert "smtlib" not in available_backends()
+        with pytest.raises(UnknownBackendError):
+            create_backend("smtlib")
 
     def test_create_by_name_and_default(self):
         assert isinstance(create_backend("dpllt"), DpllTBackend)
@@ -337,183 +337,9 @@ class TestRegistry:
             backend_module._REGISTRY.pop("custom-test", None)
 
 
-def _stub_solver(tmp_path, output: str) -> str:
-    """Create an executable that ignores its input and prints ``output``."""
-    script = tmp_path / "fake-solver"
-    script.write_text(f"#!{sys.executable}\nprint('''{output}''')\n")
-    script.chmod(script.stat().st_mode | stat.S_IXUSR)
-    return str(script)
-
-
-class TestSmtLibProcessBackend:
-    def test_unconfigured_backend_unavailable(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SMT_SOLVER", raising=False)
-        with pytest.raises(BackendUnavailableError):
-            SmtLibProcessBackend()
-        assert not SmtLibProcessBackend.is_available()
-
-    def test_missing_binary_unavailable(self):
-        with pytest.raises(BackendUnavailableError):
-            SmtLibProcessBackend(command="definitely-not-a-solver-binary")
-
-    def test_sat_with_model_parsing(self, tmp_path):
-        command = _stub_solver(
-            tmp_path,
-            "sat\n(\n  (define-fun x () Int 4)\n"
-            "  (define-fun y () Int (- 2))\n"
-            "  (define-fun a () Bool true)\n)",
-        )
-        backend = SmtLibProcessBackend(command=command)
-        backend.add(Ge(x, IntVal(0)))
-        assert backend.check() is CheckResult.SAT
-        model = backend.model()
-        assert model.value_of("x") == 4
-        assert model.value_of("y") == -2
-        assert model.value_of("a") is True
-        assert backend.statistics() == {"external_checks": 1}
-
-    def test_unsat_and_unknown(self, tmp_path):
-        backend = SmtLibProcessBackend(command=_stub_solver(tmp_path, "unsat"))
-        backend.add(Lt(x, x))
-        assert backend.check() is CheckResult.UNSAT
-        with pytest.raises(SolverError):
-            backend.model()
-        backend = SmtLibProcessBackend(command=_stub_solver(tmp_path, "unknown"))
-        backend.add(Ge(x, IntVal(0)))
-        assert backend.check() is CheckResult.UNKNOWN
-
-    def test_unknown_with_model_error_chatter(self, tmp_path):
-        """z3/yices answer 'unknown' then object to the (get-model); that is
-        an UNKNOWN verdict, not a solver failure."""
-        command = _stub_solver(
-            tmp_path, 'unknown\n(error "model is not available")'
-        )
-        backend = SmtLibProcessBackend(command=command)
-        backend.add(Ge(x, IntVal(0)))
-        assert backend.check() is CheckResult.UNKNOWN
-
-    def test_sat_without_model_raises(self, tmp_path):
-        """'sat' with no parseable model must not fabricate a default model."""
-        command = _stub_solver(tmp_path, 'sat\n(error "model printing failed")')
-        backend = SmtLibProcessBackend(command=command)
-        backend.add(Ge(x, IntVal(0)))
-        with pytest.raises(SolverError):
-            backend.check()
-
-    def test_garbage_output_raises(self, tmp_path):
-        backend = SmtLibProcessBackend(command=_stub_solver(tmp_path, "flagrant"))
-        backend.add(Ge(x, IntVal(0)))
-        with pytest.raises(SolverError):
-            backend.check()
-
-    def test_push_pop_assertion_stack(self, tmp_path):
-        backend = SmtLibProcessBackend(command=_stub_solver(tmp_path, "sat"))
-        backend.add(Ge(x, IntVal(0)))
-        backend.push()
-        backend.add(Lt(x, IntVal(0)))
-        backend.pop()
-        assert backend._assertions == [Ge(x, IntVal(0))]
-        with pytest.raises(SolverError):
-            backend.pop()
-
-    def test_registry_resolution_without_solver_configured(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SMT_SOLVER", raising=False)
-        with pytest.raises(BackendUnavailableError):
-            create_backend("smtlib")
-
+class TestSmtLibOutputParsing:
     def test_sexpr_parser(self):
         parsed = _parse_sexprs("(model (define-fun x () Int 5))")
         assert parsed == [["model", ["define-fun", "x", [], "Int", "5"]]]
         with pytest.raises(SolverError):
             _parse_sexprs(")")
-
-    def test_stub_solver_resolved_from_path(self, tmp_path, monkeypatch):
-        """The solver command may be a bare binary name found on PATH, the
-        way a real z3/cvc5 deployment configures it."""
-        _stub_solver(tmp_path, "unsat")
-        monkeypatch.setenv(
-            "PATH", f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}"
-        )
-        monkeypatch.setenv("REPRO_SMT_SOLVER", "fake-solver")
-        assert SmtLibProcessBackend.is_available()
-        backend = SmtLibProcessBackend()
-        backend.add(Lt(x, x))
-        assert backend.check() is CheckResult.UNSAT
-
-    def test_nonzero_exit_without_verdict_raises_cleanly(self, tmp_path):
-        script = tmp_path / "crashing-solver"
-        script.write_text(
-            f"#!{sys.executable}\nimport sys\n"
-            "print('boom', file=sys.stderr)\nsys.exit(3)\n"
-        )
-        script.chmod(script.stat().st_mode | stat.S_IXUSR)
-        backend = SmtLibProcessBackend(command=str(script))
-        backend.add(Ge(x, IntVal(0)))
-        with pytest.raises(SolverError) as excinfo:
-            backend.check()
-        message = str(excinfo.value)
-        assert "status 3" in message
-        assert "boom" in message
-
-    def test_nonzero_exit_with_verdict_is_tolerated(self, tmp_path):
-        """Some solvers exit nonzero after printing a perfectly good
-        verdict; the verdict wins over the exit status."""
-        script = tmp_path / "grumpy-solver"
-        script.write_text(
-            f"#!{sys.executable}\nimport sys\nprint('unsat')\nsys.exit(1)\n"
-        )
-        script.chmod(script.stat().st_mode | stat.S_IXUSR)
-        backend = SmtLibProcessBackend(command=str(script))
-        backend.add(Lt(x, x))
-        assert backend.check() is CheckResult.UNSAT
-
-    def test_silent_failure_raises_cleanly(self, tmp_path):
-        script = tmp_path / "mute-solver"
-        script.write_text(f"#!{sys.executable}\nimport sys\nsys.exit(127)\n")
-        script.chmod(script.stat().st_mode | stat.S_IXUSR)
-        backend = SmtLibProcessBackend(command=str(script))
-        backend.add(Ge(x, IntVal(0)))
-        with pytest.raises(SolverError) as excinfo:
-            backend.check()
-        assert "no output" in str(excinfo.value)
-
-    def test_timeout_raises_solver_error(self, tmp_path):
-        script = tmp_path / "sleepy-solver"
-        script.write_text(
-            f"#!{sys.executable}\nimport time\ntime.sleep(30)\nprint('sat')\n"
-        )
-        script.chmod(script.stat().st_mode | stat.S_IXUSR)
-        backend = SmtLibProcessBackend(command=str(script), timeout=0.2)
-        backend.add(Ge(x, IntVal(0)))
-        with pytest.raises(SolverError) as excinfo:
-            backend.check()
-        assert "timed out" in str(excinfo.value)
-
-    def test_end_to_end_session_over_stub_unsat_solver(self, tmp_path):
-        """A session on the smtlib backend reaches the external process and
-        turns its UNSAT into a SAFE verdict."""
-        from repro.verification import Verdict, VerificationSession
-        from repro.workloads import pipeline
-
-        command = _stub_solver(tmp_path, "unsat")
-        session = VerificationSession.from_program(
-            pipeline(3), seed=0, backend=SmtLibProcessBackend(command=command)
-        )
-        result = session.verdict()
-        assert result.verdict is Verdict.SAFE
-        assert result.backend == "smtlib"
-
-
-@pytest.mark.skipif(
-    not SmtLibProcessBackend.is_available(),
-    reason="no external SMT solver configured (set REPRO_SMT_SOLVER)",
-)
-class TestSmtLibAgainstRealSolver:
-    """Cross-checks that only run when an external solver is installed."""
-
-    def test_agrees_with_dpllt(self):
-        external = SmtLibProcessBackend()
-        external.add(Lt(x, y), Lt(y, IntVal(3)), Lt(IntVal(0), x))
-        assert external.check() is CheckResult.SAT
-        model = external.model()
-        assert 0 < model.value_of("x") < model.value_of("y") < 3

@@ -1,37 +1,42 @@
-"""Differential harness: flat-memory core vs the retained legacy core.
+"""SAT-core oracles: the native kernel against the pure-Python loop, and
+DIMACS known-answer fixtures with golden search counters.
 
-The arena rewrite of :class:`repro.smt.sat.SatSolver` promises *bit-identical
-search behaviour* — not just equisatisfiability: the same decisions, the
-same conflicts, the same learned clauses, the same models.  These tests
-pin that promise three ways:
+:class:`repro.smt.sat.SatSolver` runs its propagation loop either in the
+compiled kernel (:mod:`repro.smt.satkernel`) or in pure Python, and the two
+promise *bit-identical search behaviour*: the same decisions, conflicts,
+learned clauses and models.  These tests pin that promise, and the search
+itself, four ways:
 
-* **three-way random-CNF differential** — the native-kernel core, the
-  pure-Python flat core (``use_kernel=False``) and the legacy
-  clause-object core produce identical verdicts, models and search
-  counters under maximally aggressive reduction (``reduce_base=1``);
-  kernel and Python flat cores additionally keep *identical watch
-  tables*, entry for entry;
+* **random-CNF differential** — the kernel core and the pure-Python core
+  (``use_kernel=False``) produce identical verdicts, models and search
+  counters under maximally aggressive reduction (``reduce_base=1``), and
+  keep *identical watch tables*, entry for entry;
 * **incremental streams** — assumption batches and clauses added between
   ``solve`` calls agree across the cores after arbitrarily many
   reductions and compactions;
 * **arena invariants** — after any reduction, reason-locked crefs still
   dereference to live records, no watch entry dangles, and every blocker
   is a literal of its clause;
-* **DPLL(T) corpus** — the mixed-theory corpus shared with the DPLL(T)
-  oracle suite yields identical verdicts, models and conflict counts when
-  the engine's SAT core is swapped for the legacy one.
+* **known answers** — pigeonhole (UNSAT), graph-colouring (SAT) and
+  random 3-SAT fixtures under ``tests/smt/data/``, the last settled by
+  exhaustive truth tables, solved by every core: every SAT model satisfies
+  every clause, and decisions / conflicts / learned clauses / reduceDB
+  rounds match golden values, so the search cannot drift silently.
+
+The pure-Python loop is the reference for the C kernel; without a built
+kernel the differentials compare nothing, which is why CI fails when the
+kernel does not load.
 """
 
+import os
 import random
 
 import pytest
 
-from test_dpllt_oracle import _random_assertions, _solve
-
-import repro.smt.dpllt as dpllt
-from repro.smt.dpllt import CheckResult
+from repro.smt.dimacs import load_dimacs
 from repro.smt.sat import SatResult, SatSolver
-from repro.smt.satlegacy import LegacySatSolver
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 #: Counters that must agree across cores.  (arena_bytes / compactions are
 #: flat-core-only by construction and excluded.)
@@ -60,10 +65,7 @@ def _random_clauses(rng, num_vars, num_clauses):
 
 def _cores(**kwargs):
     """(name, solver) per core; the kernel entry is present when it built."""
-    cores = [
-        ("legacy", LegacySatSolver(**kwargs)),
-        ("flat-py", SatSolver(use_kernel=False, **kwargs)),
-    ]
+    cores = [("flat-py", SatSolver(use_kernel=False, **kwargs))]
     flat = SatSolver(**kwargs)
     if flat.kernel_active:
         cores.append(("flat-c", flat))
@@ -101,7 +103,7 @@ def _check_arena_invariants(solver):
     assert solver.arena_live_words() <= solver.arena_words
 
 
-class TestRandomCnfThreeWay:
+class TestRandomCnfKernelVsPython:
     @pytest.mark.parametrize("chunk", range(4))
     def test_verdicts_models_and_counters_identical(self, chunk):
         for index in range(25):
@@ -185,39 +187,81 @@ class TestIncrementalStreams:
                     _check_arena_invariants(solver)
 
 
-class TestDpllTCorpus:
-    """Swap the engine's SAT core for the legacy one and compare everything."""
+#: Known answer and golden search counters of each fixture at
+#: ``reduce_base=1``: (answer, decisions, conflicts, learned clauses,
+#: reduceDB rounds).  A deliberate heuristic change updates these numbers;
+#: any other change to them is search drift.
+_GOLDEN = {
+    "php_3_2.cnf": ("unsat", 1, 2, 1, 0),
+    "php_6_5.cnf": ("unsat", 187, 146, 145, 8),
+    "simple_sat.cnf": ("sat", 1, 0, 0, 0),
+    "color_120_3.cnf": ("sat", 139, 89, 89, 7),
+    "uf3_12_1.cnf": ("sat", 4, 1, 1, 0),
+    "uf3_13_2.cnf": ("unsat", 12, 9, 8, 0),
+    "uf3_14_3.cnf": ("unsat", 14, 12, 11, 0),
+    "uf3_14_4.cnf": ("sat", 8, 0, 0, 0),
+    "uf3_14_5.cnf": ("unsat", 8, 8, 7, 0),
+    "uf3_14_6.cnf": ("sat", 5, 0, 0, 0),
+}
 
-    @pytest.mark.parametrize("chunk", range(2))
-    def test_corpus_exact_agreement(self, chunk, monkeypatch):
-        for index in range(15):
-            seed = chunk * 15 + index
-            rng = random.Random(1_000 + seed)  # the oracle suite's corpus seeds
-            assertions, has_apps = _random_assertions(rng)
+#: Largest instance whose answer the tests settle by a truth table.
+_TRUTH_TABLE_VARS = 14
 
-            flat_verdict, flat = _solve(assertions, reduce_base=1)
-            flat_model = flat.model() if flat_verdict is CheckResult.SAT else None
-            flat_stats = flat.engine.stats
 
-            monkeypatch.setattr(dpllt, "SatSolver", LegacySatSolver)
-            legacy_verdict, legacy = _solve(assertions, reduce_base=1)
-            legacy_model = (
-                legacy.model() if legacy_verdict is CheckResult.SAT else None
+def _truth_table_satisfiable(problem):
+    """Exhaustive check, one bit per assignment: bit ``a`` of a variable's
+    column is its value under assignment ``a``."""
+    rows = 1 << problem.num_vars
+    everything = (1 << rows) - 1
+    columns = []
+    for index in range(problem.num_vars):
+        block = 1 << index
+        ones = ((1 << block) - 1) << block  # a run of 0s, then of 1s
+        column = 0
+        for start in range(0, rows, 2 * block):
+            column |= ones << start
+        columns.append(column)
+    satisfying = everything
+    for clause in problem.clauses:
+        covered = 0
+        for lit in clause:
+            column = columns[abs(lit) - 1]
+            covered |= column if lit > 0 else everything ^ column
+        satisfying &= covered
+    return satisfying != 0
+
+
+class TestDimacsFixtures:
+    def test_truth_table_oracle(self):
+        small = [name for name in _GOLDEN if name.startswith("uf3_")]
+        answers = set()
+        for name in small:
+            problem = load_dimacs(os.path.join(DATA, name))
+            assert problem.num_vars <= _TRUTH_TABLE_VARS
+            satisfiable = _truth_table_satisfiable(problem)
+            assert ("sat" if satisfiable else "unsat") == _GOLDEN[name][0], name
+            answers.add(satisfiable)
+        assert answers == {True, False}  # both answers are exercised
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN))
+    def test_known_answer_and_golden_counters(self, name):
+        problem = load_dimacs(os.path.join(DATA, name))
+        for core, solver in _cores(reduce_db=True, reduce_base=1):
+            solver.ensure_vars(problem.num_vars)
+            solver.add_clauses(problem.clauses)
+            verdict = solver.solve()
+            if verdict is SatResult.SAT:
+                model = solver.model()
+                for clause in problem.clauses:
+                    assert any(model[abs(lit)] == (lit > 0) for lit in clause), (
+                        f"{core}: model falsifies {clause}"
+                    )
+            stats = solver.stats
+            observed = (
+                verdict.value,
+                stats.decisions,
+                stats.conflicts,
+                stats.learned_clauses,
+                stats.reduce_db_rounds,
             )
-            legacy_stats = legacy.engine.stats
-            monkeypatch.undo()
-
-            assert flat_verdict == legacy_verdict, f"seed {seed}"
-            if flat_model is not None and not has_apps:
-                assert legacy_model is not None
-                for assertion in assertions:
-                    assert flat_model.satisfies(assertion), f"seed {seed}"
-            assert (
-                flat_stats.sat_conflicts == legacy_stats.sat_conflicts
-            ), f"seed {seed}"
-            assert (
-                flat_stats.sat_decisions == legacy_stats.sat_decisions
-            ), f"seed {seed}"
-            assert (
-                flat_stats.theory_conflicts == legacy_stats.theory_conflicts
-            ), f"seed {seed}"
+            assert observed == _GOLDEN[name], core

@@ -80,7 +80,7 @@ class TestIncrementalDifferenceLogic:
     def test_constant_false_conflicts_alone(self):
         idl = IncrementalDifferenceLogic()
         idl.assert_lit(1, [_diff("a", "b", 3)])
-        conflict = idl.assert_lit(2, [LinearLe(LinearExpr.constant(0), -1)])
+        conflict = idl.assert_lit(2, [LinearLe(LinearExpr.from_dict({}, 0), -1)])
         assert conflict == [2]
 
     def test_explain_entailed_literal(self):
@@ -141,7 +141,7 @@ class TestIncrementalLinearInt:
     def test_constant_false_conflicts_alone(self):
         lia = IncrementalLinearInt()
         lia.assert_lit(1, [_upper("x", 3)])
-        assert lia.assert_lit(2, [LinearLe(LinearExpr.constant(0), -1)]) == [2]
+        assert lia.assert_lit(2, [LinearLe(LinearExpr.from_dict({}, 0), -1)]) == [2]
 
     def test_explain_entailed_literal(self):
         lia = IncrementalLinearInt()

@@ -39,24 +39,22 @@ def _lia_check(constraints):
 
 
 class TestLinearExpr:
-    def test_constant_and_variable(self):
-        c = LinearExpr.constant(5)
+    def test_constant(self):
+        c = LinearExpr.from_dict({}, 5)
         assert c.is_constant and c.const == 5
-        v = LinearExpr.variable("x")
-        assert v.variables() == ("x",)
+        assert LinearExpr.from_dict({"x": 0}, 5) == c
 
-    def test_add_merges_coefficients(self):
-        a = LinearExpr.from_dict({"x": 2, "y": 1}, 3)
-        b = LinearExpr.from_dict({"x": -2, "z": 4}, -1)
-        result = a.add(b)
-        assert result.as_dict() == {"y": 1, "z": 4}
-        assert result.const == 2
+    def test_from_dict_sorts_and_drops_zeros(self):
+        a = LinearExpr.from_dict({"y": 1, "x": 2, "z": 0}, 3)
+        assert a.variables() == ("x", "y")
+        assert a.as_dict() == {"x": 2, "y": 1}
 
-    def test_scale_and_negate(self):
-        a = LinearExpr.from_dict({"x": 2}, 3)
-        assert a.scale(3).as_dict() == {"x": 6}
-        assert a.negate().const == -3
-        assert a.scale(0).is_constant
+    def test_negate(self):
+        a = LinearExpr.from_dict({"x": 2, "y": -1}, 3)
+        negated = a.negate()
+        assert negated.as_dict() == {"x": -2, "y": 1}
+        assert negated.const == -3
+        assert negated.variables() == a.variables()
 
     def test_evaluate(self):
         a = LinearExpr.from_dict({"x": 2, "y": -1}, 1)
@@ -136,7 +134,7 @@ class TestAtomToConstraints:
     def test_is_difference(self):
         assert LinearLe(LinearExpr.from_dict({"x": 1, "y": -1}), 0).is_difference
         assert LinearLe(LinearExpr.from_dict({"x": 1}), 0).is_difference
-        assert LinearLe(LinearExpr.constant(0), 1).is_difference
+        assert LinearLe(LinearExpr.from_dict({}, 0), 1).is_difference
         assert not LinearLe(LinearExpr.from_dict({"x": 2, "y": -1}), 0).is_difference
         assert not LinearLe(LinearExpr.from_dict({"x": 1, "y": 1}), 0).is_difference
 
@@ -197,7 +195,7 @@ class TestDifferenceLogic:
 
     def test_trivially_false_constant(self):
         solver = DifferenceLogicSolver()
-        idx = solver.assert_constraint(LinearLe(LinearExpr.constant(0), -1))
+        idx = solver.assert_constraint(LinearLe(LinearExpr.from_dict({}, 0), -1))
         result = solver.check()
         assert not result.satisfiable
         assert result.conflict == [idx]

@@ -7,6 +7,7 @@ a real z3/cvc5 session does, so the tests exercise the actual marker-sync
 protocol rather than a canned transcript.
 """
 
+import os
 import stat
 import sys
 import time
@@ -15,12 +16,12 @@ import pytest
 
 from repro.smt import (
     CheckResult,
+    DpllTBackend,
     Ge,
     IntVal,
     IntVar,
     Le,
     Lt,
-    SmtLibProcessBackend,
     available_backends,
     create_backend,
 )
@@ -193,52 +194,156 @@ class TestPipeSession:
         backend.close()
 
 
+class TestPipeSolverOutput:
+    """What the backend makes of a solver's answers: availability, verdict
+    and model parsing, chatter, dead and mute solvers."""
+
+    def test_missing_binary_unavailable(self):
+        with pytest.raises(BackendUnavailableError):
+            SmtLibPipeBackend(command="definitely-not-a-solver-binary")
+        assert not SmtLibPipeBackend.is_available("definitely-not-a-solver-binary")
+
+    def test_registry_resolution_without_solver_configured(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SMT_SOLVER", raising=False)
+        with pytest.raises(BackendUnavailableError):
+            create_backend("smtlib-pipe")
+
+    def test_sat_with_model_parsing(self, tmp_path):
+        command = _interactive_stub(
+            tmp_path,
+            model="(\n  (define-fun x () Int 4)\n"
+            "  (define-fun y () Int (- 2))\n"
+            "  (define-fun a () Bool true)\n)",
+        )
+        backend = SmtLibPipeBackend(command=command)
+        backend.add(Ge(x, IntVal(0)))
+        assert backend.check() is CheckResult.SAT
+        model = backend.model()
+        assert model.value_of("x") == 4
+        assert model.value_of("y") == -2
+        assert model.value_of("a") is True
+        assert backend.statistics() == {"external_checks": 1}
+        backend.close()
+
+    def test_unknown_with_error_chatter(self, tmp_path):
+        """z3/yices may print an error line next to an 'unknown' answer;
+        that is an UNKNOWN verdict, not a solver failure."""
+        command = _interactive_stub(
+            tmp_path, verdicts='unknown\n(error "model is not available")'
+        )
+        backend = SmtLibPipeBackend(command=command)
+        backend.add(Ge(x, IntVal(0)))
+        assert backend.check() is CheckResult.UNKNOWN
+        backend.close()
+
+    def test_chatter_before_the_verdict_does_not_mask_it(self, tmp_path):
+        command = _interactive_stub(
+            tmp_path, verdicts='(error "line 3: unsupported option")\nunsat'
+        )
+        backend = SmtLibPipeBackend(command=command)
+        backend.add(Lt(x, x))
+        assert backend.check() is CheckResult.UNSAT
+        assert "pipe_restarts" not in backend.statistics()
+        backend.close()
+
+    def test_sat_without_model_raises(self, tmp_path):
+        """'sat' with no parseable model must not fabricate a default model,
+        nor leave the previous check's model behind."""
+        command = _interactive_stub(
+            tmp_path, verdicts="unsat,sat", model='(error "model printing failed")'
+        )
+        backend = SmtLibPipeBackend(command=command)
+        backend.add(Ge(x, IntVal(0)))
+        assert backend.check() is CheckResult.UNSAT
+        with pytest.raises(SolverError, match="no model"):
+            backend.check()
+        with pytest.raises(SolverError):
+            backend.model()
+        backend.close()
+
+    def test_garbage_output_raises(self, tmp_path):
+        backend = SmtLibPipeBackend(
+            command=_interactive_stub(tmp_path, verdicts="flagrant")
+        )
+        backend.add(Ge(x, IntVal(0)))
+        with pytest.raises(SolverError, match="twice"):
+            backend.check()
+        backend.close()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "print('boom', file=sys.stderr)\nsys.exit(3)\n",
+            "sys.exit(127)\n",
+        ],
+        ids=["chatter-then-exit", "silent-exit"],
+    )
+    def test_solver_that_dies_at_startup_raises_cleanly(self, tmp_path, body):
+        script = tmp_path / "dying-solver"
+        script.write_text(f"#!{sys.executable}\nimport sys\n{body}")
+        script.chmod(script.stat().st_mode | stat.S_IXUSR)
+        backend = SmtLibPipeBackend(command=str(script))
+        backend.add(Ge(x, IntVal(0)))
+        with pytest.raises(SolverError, match="twice"):
+            backend.check()
+        assert backend.statistics() == {}
+        backend.close()
+
+    def test_stub_solver_resolved_from_path(self, tmp_path, monkeypatch):
+        """The solver command may be a bare binary name found on PATH, the
+        way a real z3/cvc5 deployment configures it."""
+        _interactive_stub(tmp_path, verdicts="unsat", name="fake-solver")
+        monkeypatch.setenv(
+            "PATH", f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}"
+        )
+        monkeypatch.setenv("REPRO_SMT_SOLVER", "fake-solver")
+        assert SmtLibPipeBackend.is_available()
+        backend = SmtLibPipeBackend()
+        backend.add(Lt(x, x))
+        assert backend.check() is CheckResult.UNSAT
+        backend.close()
+
+
 class TestPipeDifferential:
-    """The pipe session and the one-shot process backend must agree."""
+    """The pipe session and the in-tree DPLL(T) backend must agree."""
 
-    @pytest.mark.parametrize("verdict", ["sat", "unsat", "unknown"])
-    def test_pipe_matches_one_shot_verdicts(self, tmp_path, verdict):
-        command = _interactive_stub(tmp_path, verdicts=verdict)
-        one_shot_command = tmp_path / "one-shot"
-        model = (
-            "\n(\n  (define-fun x () Int 4)\n  (define-fun y () Int 1)\n)"
-            if verdict == "sat"
-            else ""
-        )
-        one_shot_command.write_text(
-            f"#!{sys.executable}\nprint('''{verdict}{model}''')\n"
-        )
-        one_shot_command.chmod(one_shot_command.stat().st_mode | stat.S_IXUSR)
-
-        pipe = SmtLibPipeBackend(command=command)
-        one_shot = SmtLibProcessBackend(command=str(one_shot_command))
-        for backend in (pipe, one_shot):
-            backend.add(Ge(x, IntVal(0)), Le(y, IntVal(9)))
-        assert pipe.check() is one_shot.check() is CheckResult(verdict)
+    @pytest.mark.parametrize(
+        "verdict, assertions",
+        [
+            ("sat", [Ge(x, IntVal(0)), Le(y, IntVal(9))]),
+            ("unsat", [Lt(x, y), Lt(y, x)]),
+            ("unknown", [Ge(x, IntVal(0))]),
+        ],
+        ids=["sat", "unsat", "unknown"],
+    )
+    def test_pipe_matches_dpllt_verdicts(self, tmp_path, verdict, assertions):
+        pipe = SmtLibPipeBackend(command=_interactive_stub(tmp_path, verdicts=verdict))
+        # A zero theory budget is how the in-tree engine gives up.
+        dpllt = DpllTBackend(max_iterations=0 if verdict == "unknown" else 10_000)
+        for backend in (pipe, dpllt):
+            backend.add(*assertions)
+        assert pipe.check() is dpllt.check() is CheckResult(verdict)
         if verdict == "sat":
-            assert pipe.model().value_of("x") == one_shot.model().value_of("x") == 4
+            for model in (pipe.model(), dpllt.model()):
+                assert all(model.satisfies(term) for term in assertions)
         pipe.close()
 
     def test_session_verdicts_match_across_backends(self, tmp_path):
         """A full verification session reaches the same SAFE verdict
-        through the pipe as through the one-shot process backend."""
+        through the pipe as through the in-tree engine."""
         from repro.verification import Verdict, VerificationSession
         from repro.workloads import pipeline
 
-        stub_unsat = tmp_path / "unsat-one-shot"
-        stub_unsat.write_text(f"#!{sys.executable}\nprint('unsat')\n")
-        stub_unsat.chmod(stub_unsat.stat().st_mode | stat.S_IXUSR)
-
+        pipe = SmtLibPipeBackend(command=_interactive_stub(tmp_path, verdicts="unsat"))
         results = {}
-        for label, backend in (
-            ("pipe", SmtLibPipeBackend(command=_interactive_stub(tmp_path, verdicts="unsat"))),
-            ("one-shot", SmtLibProcessBackend(command=str(stub_unsat))),
-        ):
+        for backend in (pipe, DpllTBackend()):
             session = VerificationSession.from_program(
                 pipeline(3), seed=0, backend=backend
             )
-            results[label] = session.verdict().verdict
-        assert results["pipe"] is results["one-shot"] is Verdict.SAFE
+            result = session.verdict()
+            results[result.backend] = result.verdict
+        assert results == {"smtlib-pipe": Verdict.SAFE, "dpllt": Verdict.SAFE}
+        pipe.close()
 
     def test_session_reuses_one_pipe_process_across_checks(self, tmp_path):
         """Both verification questions of a session ride the same solver
@@ -255,3 +360,23 @@ class TestPipeDifferential:
         stats = backend.statistics()
         assert stats["external_checks"] >= 1
         assert "pipe_restarts" not in stats
+
+
+@pytest.mark.skipif(
+    not SmtLibPipeBackend.is_available(),
+    reason="no external SMT solver configured (set REPRO_SMT_SOLVER)",
+)
+class TestPipeAgainstRealSolver:
+    """Cross-checks that only run when an external solver is installed."""
+
+    def test_agrees_with_dpllt(self):
+        assertions = [Lt(x, y), Lt(y, IntVal(3)), Lt(IntVal(0), x)]
+        external = SmtLibPipeBackend()
+        external.add(*assertions)
+        assert external.check() is CheckResult.SAT
+        model = external.model()
+        assert 0 < model.value_of("x") < model.value_of("y") < 3
+        external.close()
+        dpllt = DpllTBackend()
+        dpllt.add(*assertions)
+        assert dpllt.check() is CheckResult.SAT

@@ -1,39 +1,8 @@
-"""Tests for IdGenerator, UnionFind and timing helpers."""
+"""Tests for UnionFind."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.ids import IdGenerator
-from repro.utils.timing import StatsCollector, Stopwatch, Timer
 from repro.utils.unionfind import UnionFind
-
-
-class TestIdGenerator:
-    def test_fresh_is_monotonic(self):
-        gen = IdGenerator()
-        ids = [gen.fresh() for _ in range(10)]
-        assert ids == sorted(ids)
-        assert len(set(ids)) == 10
-
-    def test_start_offset(self):
-        gen = IdGenerator(start=100)
-        assert gen.fresh() == 100
-
-    def test_for_key_is_stable(self):
-        gen = IdGenerator()
-        a = gen.for_key("x")
-        b = gen.for_key("y")
-        assert gen.for_key("x") == a
-        assert a != b
-        assert gen.known("x")
-        assert not gen.known("z")
-
-    def test_reset(self):
-        gen = IdGenerator()
-        gen.for_key("x")
-        gen.reset()
-        assert not gen.known("x")
-        assert gen.fresh() == 0
 
 
 class TestUnionFind:
@@ -86,47 +55,3 @@ class TestUnionFind:
 
         for a, b in pairs:
             assert uf.same(a, b) == (b in reachable(a))
-
-
-class TestTiming:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        sw.start()
-        sw.stop()
-        first = sw.elapsed
-        sw.start()
-        sw.stop()
-        assert sw.elapsed >= first
-
-    def test_stopwatch_misuse(self):
-        sw = Stopwatch()
-        with pytest.raises(RuntimeError):
-            sw.stop()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_stopwatch_reset(self):
-        sw = Stopwatch()
-        sw.start()
-        sw.stop()
-        sw.reset()
-        assert sw.elapsed == 0.0
-        assert not sw.running
-
-    def test_timer_context(self):
-        with Timer() as t:
-            pass
-        assert t.seconds >= 0.0
-
-    def test_stats_collector(self):
-        stats = StatsCollector()
-        stats.bump("conflicts")
-        stats.bump("conflicts", 2)
-        stats.record("time", 1.0)
-        stats.record("time", 3.0)
-        summary = stats.summary()
-        assert summary["conflicts"] == 3
-        assert summary["time_mean"] == 2.0
-        assert summary["time_max"] == 3.0
-        assert stats.get("missing") == 0

@@ -31,6 +31,16 @@ class TestArgumentParsing:
             parser.parse_args(["--workload", "figure1", "--theory-mode", "offline"])
         assert exit_info.value.code == 2
 
+    def test_retired_smtlib_backend_rejected(self, monkeypatch, capsys):
+        """The one-shot ``smtlib`` backend is gone: naming it is a usage
+        error even with an external solver configured, never a silent
+        answer from another backend."""
+        monkeypatch.setenv("REPRO_SMT_SOLVER", "true")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--workload", "figure1", "--backend", "smtlib"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'smtlib'" in capsys.readouterr().err
+
 
 class TestMain:
     def test_figure1_violation_exit_code(self, capsys):

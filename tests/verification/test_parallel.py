@@ -59,7 +59,7 @@ def _mixed_batch(copies=2):
 class TestBackendSpec:
     def test_normalisation(self):
         assert BackendSpec.of(None).name == "dpllt"
-        assert BackendSpec.of("smtlib").name == "smtlib"
+        assert BackendSpec.of("smtlib-pipe").name == "smtlib-pipe"
         spec = BackendSpec.of("dpllt", max_iterations=7)
         assert spec.kwargs == (("max_iterations", 7),)
         assert BackendSpec.of(spec) is spec
@@ -206,7 +206,7 @@ class TestParallelVerifyMany:
     def test_worker_errors_surface_as_their_own_type(self, monkeypatch):
         monkeypatch.delenv("REPRO_SMT_SOLVER", raising=False)
         with pytest.raises(BackendUnavailableError):
-            verify_many_parallel([pipeline(2)], jobs=2, backend="smtlib")
+            verify_many_parallel([pipeline(2)], jobs=2, backend="smtlib-pipe")
 
 
     def test_worker_results_keep_problem_and_replayable_witness(self):
@@ -368,12 +368,12 @@ class TestResultCache:
     def test_key_components_invalidate(self):
         trace = run_program(pipeline(2), seed=0).trace
         base = make_cache_key(trace)
-        assert make_cache_key(trace, backend="smtlib") != base
+        assert make_cache_key(trace, backend="smtlib-pipe") != base
         assert (
             make_cache_key(trace, options=EncoderOptions(enforce_pair_fifo=True))
             != base
         )
-        assert base.digest() != make_cache_key(trace, backend="smtlib").digest()
+        assert base.digest() != make_cache_key(trace, backend="smtlib-pipe").digest()
 
     def test_statistics_shape(self):
         cache = ResultCache()

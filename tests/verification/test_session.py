@@ -16,7 +16,6 @@ from repro.utils.errors import (
     UnknownBackendError,
 )
 from repro.verification import (
-    SymbolicVerifier,
     Verdict,
     VerificationSession,
     replay_witness,
@@ -241,15 +240,6 @@ class TestEncodeOnce:
         assert encoder.encode_calls == 1
         assert session.encode_count == 1
 
-    def test_legacy_verifier_encodes_per_call(self):
-        """The shim intentionally preserves call-per-query semantics."""
-        run = run_program(figure1_program(assert_a_is_y=True), seed=0)
-        verifier = SymbolicVerifier()
-        verifier.encoder = CountingEncoder()
-        verifier.verify_trace(run.trace)
-        verifier.feasibility(run.trace)
-        assert verifier.encoder.encode_calls == 2
-
 
 class TestUnknownSurfacing:
     """The seed bug: UNKNOWN used to terminate enumeration as if exhaustive."""
@@ -261,12 +251,6 @@ class TestUnknownSurfacing:
         with pytest.raises(IncompleteEnumerationError) as excinfo:
             session.enumerate_pairings()
         assert excinfo.value.pairings == []
-
-    def test_legacy_enumerate_pairings_raises_on_unknown(self):
-        verifier = SymbolicVerifier(max_solver_iterations=0)
-        run = run_program(racy_fanin(3), seed=0)
-        with pytest.raises(IncompleteEnumerationError):
-            verifier.enumerate_pairings(run.trace)
 
     def test_verdict_unknown_flagged(self):
         session = VerificationSession.from_program(

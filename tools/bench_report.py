@@ -12,6 +12,12 @@ Two artifacts:
   stream pushed through :class:`repro.service.server.VerificationService`
   twice, recording cold vs warm-pool queries/sec and the pool counters.
 
+``BENCH_solver.json`` also records the *ratio gates*: the wall-clock
+ratios the benchmark modules print (batch sharding speedup, partial-match
+encoding overhead, reduceDB overhead), each checked against its floor
+here rather than under pytest, because a timing ratio depends on the
+host's cores and load.  A ratio past its floor fails the run.
+
 Both artifacts are uploaded by CI on every run, so the perf trajectory of
 the solver hot path and the service layer is recorded PR over PR and a
 regression shows up as a diff between artifacts rather than as an
@@ -45,7 +51,6 @@ QUICK_BENCHMARKS = [
     "benchmarks/test_bench_clause_db.py",
 ]
 FULL_BENCHMARKS = QUICK_BENCHMARKS + [
-    "benchmarks/test_bench_online_theory.py",
     "benchmarks/test_bench_session.py",
     "benchmarks/test_bench_parallel.py",
     "benchmarks/test_bench_deadlock.py",
@@ -397,6 +402,62 @@ def service_probes():
     return {"service_stream_32": probe}
 
 
+def ratio_gates():
+    """Each benchmark module's printed wall-clock ratio against its floor.
+
+    The workloads are the benchmark modules' own, imported from them:
+    the 32-trace mixed batch (``verify_many_parallel(jobs=4)`` at least
+    2x the serial ``verify_many``), Figure 1's partial-match vs base
+    encode time (under 2x), and the 64-query delivery-window stream with
+    reduceDB on vs off (at least 0.8x, i.e. reduction costs no time).
+    """
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    sys.path.insert(0, REPO_ROOT)
+    from benchmarks.test_bench_clause_db import run_stream
+    from benchmarks.test_bench_deadlock import MAX_OVERHEAD, encode_seconds
+    from benchmarks.test_bench_parallel import mixed_batch
+    from repro.encoding import DeadlockProperty, EncoderOptions
+    from repro.program import run_program
+    from repro.verification import verify_many, verify_many_parallel
+    from repro.workloads import figure1_program
+
+    gates = {}
+
+    def record(name, ratio, bound, higher_is_better):
+        ok = ratio >= bound if higher_is_better else ratio < bound
+        gates[name] = {
+            "ratio": round(ratio, 3),
+            "bound": bound,
+            "better": "higher" if higher_is_better else "lower",
+            "ok": ok,
+        }
+        relation = ">=" if higher_is_better else "<"
+        status = "ok" if ok else "FAILED"
+        print(f"  gate {name}: {ratio:.2f}x (needs {relation} {bound}x) {status}")
+
+    batch = mixed_batch()
+    start = time.perf_counter()
+    verify_many(batch)
+    serial = time.perf_counter() - start
+    start = time.perf_counter()
+    verify_many_parallel(batch, jobs=4)
+    record(
+        "parallel_batch_speedup", serial / (time.perf_counter() - start), 2.0, True
+    )
+
+    trace = run_program(figure1_program(assert_a_is_y=True), seed=0).trace
+    base = encode_seconds(trace, EncoderOptions(), None)
+    partial = encode_seconds(
+        trace, EncoderOptions(partial_matches=True), [DeadlockProperty()]
+    )
+    record("partial_match_encoding_overhead", partial / base, MAX_OVERHEAD, False)
+
+    enabled = run_stream(reduce_db=True)["seconds"]
+    disabled = run_stream(reduce_db=False)["seconds"]
+    record("reduce_db_stream_speedup", disabled / enabled, 0.8, True)
+    return gates
+
+
 def compare_with_baseline(report, baseline_path, threshold):
     """Wall-time regression gate against a previous ``BENCH_solver.json``.
 
@@ -475,10 +536,13 @@ def main(argv=None):
         "platform": platform.platform(),
         "benchmarks": {},
         "solver_probes": {},
+        "ratio_gates": {},
     }
     print("solver probes:")
     report["solver_probes"] = solver_probes()
     report["solver_probes"].update(sat_core_probe())
+    print("ratio gates:")
+    report["ratio_gates"] = ratio_gates()
     if not args.probes_only:
         modules = QUICK_BENCHMARKS if args.quick else FULL_BENCHMARKS
         print("benchmark modules:")
@@ -506,6 +570,11 @@ def main(argv=None):
         for module, entry in report["benchmarks"].items()
         if entry["exit_status"] != 0
     ]
+    failed += [
+        f"ratio_gates/{name}"
+        for name, gate in report["ratio_gates"].items()
+        if not gate["ok"]
+    ]
     regressions = []
     if args.baseline is not None:
         if os.path.exists(args.baseline):
@@ -516,6 +585,8 @@ def main(argv=None):
             # First run of the gate (or the artifact expired): nothing to
             # compare against is not a failure.
             print(f"baseline {args.baseline} not found; skipping comparison")
+    if failed:
+        print(f"FAILED: {', '.join(failed)}")
     return 1 if failed or regressions else 0
 
 
