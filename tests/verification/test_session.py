@@ -252,6 +252,27 @@ class TestUnknownSurfacing:
             session.enumerate_pairings()
         assert excinfo.value.pairings == []
 
+    def test_trace_session_pairings_raise_on_unknown(self):
+        """A session opened on a bare recorded trace surfaces UNKNOWN too."""
+        run = run_program(racy_fanin(3), seed=0)
+        session = VerificationSession(run.trace, max_solver_iterations=0)
+        with pytest.raises(IncompleteEnumerationError) as excinfo:
+            session.enumerate_pairings()
+        assert excinfo.value.pairings == []
+
+    def test_lazy_pairings_raise_on_first_next(self):
+        """The generator form raises at the first ``next()``, not at the
+        call, and releases the enumeration guard when it does."""
+        session = VerificationSession.from_program(
+            racy_fanin(2), seed=0, max_solver_iterations=0
+        )
+        gen = session.pairings()
+        with pytest.raises(IncompleteEnumerationError):
+            next(gen)
+        # A second enumeration is not refused as concurrent.
+        with pytest.raises(IncompleteEnumerationError):
+            next(session.pairings())
+
     def test_verdict_unknown_flagged(self):
         session = VerificationSession.from_program(
             figure1_program(assert_a_is_y=True), seed=0, max_solver_iterations=0
