@@ -26,8 +26,11 @@ run on it.  Requests come in two shapes:
 
 * **Workload specs** (the daemon): ``{"workload": "racy_fanin", "params":
   {"senders": 3}, "seed": 1}`` names a program from the CLI's workload
-  registry, which the worker records and fingerprints itself.  Recorded
-  traces do not round-trip through JSON (payload terms are stringified on
+  registry, which the worker records and fingerprints itself.  A recording
+  is a pure function of (workload, params, seed), so each worker memoises
+  it (:class:`_RecordingMemo`): a repeated spec finds its warm session
+  without building, running or fingerprinting anything.  Recorded traces
+  do not round-trip through JSON (payload terms are stringified on
   export), so the wire protocol never carries them.
 * **Batch questions** (in-process callers): a recorded ``trace`` with its
   encoder ``options``, ``properties``, ``mode``, ``backend``
@@ -40,6 +43,7 @@ run on it.  Requests come in two shapes:
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import multiprocessing
 import os
@@ -48,16 +52,18 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.encoding.encoder import EncoderOptions, MatchPairStrategy
 from repro.program.ast import Program
-from repro.program.interpreter import run_program
+from repro.program.interpreter import ProgramRun, run_program
 from repro.program.statictrace import static_trace
 from repro.service.protocol import result_to_payload
 from repro.smt.backend import available_backends
 from repro.trace.fingerprint import trace_fingerprint
+from repro.trace.trace import ExecutionTrace
 from repro.utils.errors import (
     BackendUnavailableError,
     ReproError,
@@ -82,6 +88,11 @@ __all__ = ["PoolKey", "SessionPool", "WorkerPool", "build_program", "DEFAULT_POO
 
 #: Warm sessions kept per pool before least-recently-used eviction.
 DEFAULT_POOL_SIZE = 32
+
+#: Recordings memoised per worker before least-recently-used eviction.  An
+#: entry is one trace and its run, far smaller than a warm session, so the
+#: memo covers many more specs than the session pool does.
+RECORDING_MEMO_SIZE = 256
 
 #: How much past a request's deadline the worker gets before it is killed.
 #: The in-solver soft deadline answers within milliseconds of the budget;
@@ -135,16 +146,25 @@ class PoolKey:
         return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
+@lru_cache(maxsize=None)
+def _cli_defaults() -> argparse.Namespace:
+    """The CLI's default arguments, parsed once.  Callers copy them, so no
+    spec's params leak into the next build."""
+    from repro.verification.cli import build_parser
+
+    return build_parser().parse_args([])
+
+
 def build_program(workload: str, params: Optional[Dict[str, object]]) -> Program:
     """Resolve a wire-level workload spec against the CLI registry."""
-    from repro.verification.cli import WORKLOADS, build_parser
+    from repro.verification.cli import WORKLOADS
 
     if workload not in WORKLOADS:
         raise ServiceError(
             f"unknown workload {workload!r}; available: "
             + ", ".join(sorted(WORKLOADS))
         )
-    args = build_parser().parse_args([])
+    args = argparse.Namespace(**vars(_cli_defaults()))
     for name, value in (params or {}).items():
         if not hasattr(args, name):
             raise ServiceError(f"unknown workload parameter {name!r}")
@@ -272,6 +292,66 @@ class SessionPool:
         }
 
 
+class _Recording(NamedTuple):
+    trace: ExecutionTrace
+    #: ``None`` when the run deadlocked and ``trace`` is the static trace.
+    run: Optional[ProgramRun]
+    fingerprint: str
+
+
+class _RecordingMemo:
+    """LRU from a normalised workload spec to its recording.
+
+    The key is (workload, params in key order, seed): a recording is a pure
+    function of it.  A rejected spec raises before anything is stored, so
+    it fails again on every repeat.  ``misses`` counts recordings made.
+    """
+
+    def __init__(self, capacity: int = RECORDING_MEMO_SIZE) -> None:
+        self.capacity = capacity
+        self._entries: "OrderedDict[Tuple[str, str, int], _Recording]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def record(
+        self, workload: str, params: Optional[Dict[str, object]], seed: int
+    ) -> _Recording:
+        key = (workload, repr(sorted((params or {}).items())), seed)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry
+        program = build_program(workload, params)
+        run = run_program(program, seed=seed)
+        if run.deadlocked:
+            trace, run = static_trace(program), None
+        else:
+            trace = run.trace
+        entry = _Recording(trace, run, trace_fingerprint(trace))
+        self.misses += 1
+        self._entries[key] = entry
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+        return entry
+
+    def invalidate(self, fingerprint: Optional[str] = None) -> None:
+        """Drop recordings (all, or those of one trace fingerprint)."""
+        victims = [
+            key
+            for key, entry in self._entries.items()
+            if fingerprint is None or entry.fingerprint == fingerprint
+        ]
+        for key in victims:
+            del self._entries[key]
+
+    def statistics(self) -> Dict[str, int]:
+        return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
+
+
 # ---------------------------------------------------------------------------
 # Request execution (runs inside a worker process, or inline)
 # ---------------------------------------------------------------------------
@@ -285,6 +365,7 @@ class _Executor:
     ) -> None:
         self.pool = pool
         self.cache = cache
+        self.recordings = _RecordingMemo()
         #: Structured degradation events (backend fallbacks, kernel
         #: faults), surfaced through the ``stats`` op and the stats RPC.
         self.degradations: List[Dict[str, object]] = []
@@ -308,15 +389,11 @@ class _Executor:
                 + ", ".join(available_backends())
             )
         options = _request_options(spec)
-        program = build_program(workload, spec.get("params"))
-        seed = int(spec.get("seed", 0))
-        run = run_program(program, seed=seed)
-        if run.deadlocked:
-            trace, run = static_trace(program), None
-        else:
-            trace = run.trace
+        recording = self.recordings.record(
+            workload, spec.get("params"), int(spec.get("seed", 0))
+        )
         key = PoolKey(
-            fingerprint=trace_fingerprint(trace),
+            fingerprint=recording.fingerprint,
             options=_options_signature(options),
             backend=backend,
         )
@@ -324,10 +401,10 @@ class _Executor:
         if entry is not None:
             return entry.session, True, key
         session = VerificationSession(
-            trace,
+            recording.trace,
             options=options,
             backend=backend,
-            program_run=run,
+            program_run=recording.run,
         )
         self.pool.put(key, session)
         return session, False, key
@@ -337,12 +414,16 @@ class _Executor:
         try:
             op = request.get("op", "verify")
             if op == "stats":
-                stats: Dict[str, object] = {"pool": self.pool.statistics()}
+                stats: Dict[str, object] = {
+                    "pool": self.pool.statistics(),
+                    "recordings": self.recordings.statistics(),
+                }
                 if self.cache is not None:
                     stats["cache"] = self.cache.statistics()
                 stats["degradations"] = list(self.degradations)
                 return {"ok": True, "stats": stats}
             if op == "invalidate":
+                self.recordings.invalidate(request.get("fingerprint"))
                 dropped = self.pool.invalidate(request.get("fingerprint"))
                 return {"ok": True, "dropped": dropped}
             if op == "enumerate":
@@ -430,6 +511,7 @@ class _Executor:
                     options=resolved_options,
                     backend=key.backend,
                     mode=mode,
+                    fingerprint=key.fingerprint,
                 )
                 cached = self.cache.lookup(cache_key, session.trace)
                 if cached is not None:
@@ -957,6 +1039,12 @@ class WorkerPool:
                 "evictions": sum(p["evictions"] for p in pools),
                 "entries": [entry for p in pools for entry in p["entries"]],
             },
+            "recordings": {
+                name: sum(
+                    r["stats"]["recordings"][name] for r in per_worker if r.get("ok")
+                )
+                for name in ("entries", "hits", "misses")
+            },
         }
         if faults.ACTIVE is not None:
             aggregate["faults"] = faults.ACTIVE.counters()
@@ -977,7 +1065,8 @@ class WorkerPool:
         return aggregate
 
     def invalidate(self, fingerprint: Optional[str] = None) -> int:
-        """Drop warm sessions in every worker; returns how many were dropped."""
+        """Drop warm sessions and memoised recordings in every worker;
+        returns how many sessions were dropped."""
         responses = self.broadcast({"op": "invalidate", "fingerprint": fingerprint})
         return sum(r.get("dropped", 0) for r in responses if r.get("ok"))
 

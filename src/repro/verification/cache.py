@@ -171,6 +171,7 @@ def make_cache_key(
     options: Optional[EncoderOptions] = None,
     backend: str = "dpllt",
     mode: str = "safety",
+    fingerprint: Optional[str] = None,
 ) -> CacheKey:
     """Build the cache key for one verification question.
 
@@ -179,9 +180,11 @@ def make_cache_key(
     :func:`repro.verification.session.resolve_mode`): belt-and-braces
     against any future property whose rendering coincides across modes —
     safety-mode and deadlock-mode answers must never share an entry.
+    ``fingerprint`` is ``trace``'s fingerprint when the caller already
+    holds it, so the trace is not hashed a second time.
     """
     return CacheKey(
-        fingerprint=trace_fingerprint(trace),
+        fingerprint=trace_fingerprint(trace) if fingerprint is None else fingerprint,
         properties=_properties_signature(trace, properties),
         options=_options_signature(options),
         backend=backend,

@@ -15,11 +15,17 @@ from repro.service.client import ServiceClient, parse_address
 from repro.service.pool import (
     CRASH_LEDGER_SIZE,
     DEGRADATION_LOG_SIZE,
+    RECORDING_MEMO_SIZE,
     SessionPool,
     WorkerPool,
+    _Executor,
+    _RecordingMemo,
+    build_program,
 )
 from repro.service.server import VerificationService, run_stdio
+from repro.trace.fingerprint import trace_fingerprint
 from repro.utils.errors import ServiceError
+from repro.verification.cli import WORKLOADS
 from repro.verification.result import Verdict
 
 
@@ -260,6 +266,151 @@ class TestSessionPool:
         assert pool.get(key_a) is None
         assert pool.get(key_b) is not None
         assert pool.invalidate() == 1  # drop the rest
+
+
+class TestRecordingMemo:
+    """A workload spec's recording is memoised per worker: repeats skip
+    build, run and fingerprint, and answer exactly as a fresh recording."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_every_workload_records_one_fingerprint_per_seed(self, workload):
+        shared = _RecordingMemo()
+        for seed in range(4):
+            first = shared.record(workload, None, seed)
+            second = _RecordingMemo().record(workload, None, seed)
+            assert first.fingerprint == second.fingerprint
+            assert first.fingerprint == trace_fingerprint(second.trace)
+            assert shared.record(workload, None, seed) is first
+            if workload == "circular_wait":  # the static-trace fallback
+                assert first.run is None and second.run is None
+        assert shared.statistics() == {"entries": 4, "hits": 4, "misses": 4}
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"workload": "figure1"},
+            {"workload": "racy_fanin", "params": {"senders": 3}, "seed": 2},
+            {"workload": "pipeline", "params": {"senders": 3}, "mode": "orphan"},
+            {"workload": "circular_wait", "mode": "deadlock"},
+        ],
+    )
+    def test_memo_hit_answers_like_a_fresh_executor(self, spec):
+        request = dict(spec, op="verify")
+        fresh = _Executor(SessionPool()).execute(dict(request))["result"]
+        executor = _Executor(SessionPool())
+        executor.execute(dict(request))
+        warm = executor.execute(dict(request))  # memo hit, pool hit
+        executor.pool.invalidate()
+        rebuilt = executor.execute(dict(request))  # memo hit, pool miss
+        assert warm["pool_hit"] and not rebuilt["pool_hit"]
+        assert executor.recordings.statistics() == {
+            "entries": 1,
+            "hits": 2,
+            "misses": 1,
+        }
+        for response in (warm, rebuilt):
+            answer = response["result"]
+            assert answer["verdict"] == fresh["verdict"]
+            assert answer["witness"] == fresh["witness"]
+            assert answer["unknown_reason"] == fresh["unknown_reason"]
+
+    def test_invalidate_drops_matching_recordings(self):
+        executor = _Executor(SessionPool())
+        fingerprints = [
+            executor.execute({"op": "verify", "workload": name})["fingerprint"]
+            for name in ("figure1", "pipeline")
+        ]
+        dropped = executor.execute({"op": "invalidate", "fingerprint": fingerprints[0]})
+        assert dropped == {"ok": True, "dropped": 1}
+        assert len(executor.recordings) == 1
+        assert executor.execute({"op": "verify", "workload": "pipeline"})["pool_hit"]
+        assert executor.recordings.hits == 1
+        executor.execute({"op": "invalidate"})
+        assert len(executor.recordings) == 0
+        executor.execute({"op": "verify", "workload": "pipeline"})
+        assert executor.recordings.misses == 3  # recorded afresh
+
+    def test_memo_never_exceeds_its_bound(self):
+        memo = _RecordingMemo(capacity=3)
+        for seed in range(10):
+            memo.record("figure1", None, seed)
+            assert len(memo) <= 3
+        assert memo.record("figure1", None, 9) is memo.record("figure1", None, 9)
+        assert memo.statistics() == {"entries": 3, "hits": 2, "misses": 10}
+        default = _RecordingMemo()
+        for seed in range(RECORDING_MEMO_SIZE + 5):
+            default.record("figure1", None, seed)
+        assert len(default) == RECORDING_MEMO_SIZE
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"workload": "not-a-workload"},
+            {"workload": "figure1", "params": {"bogus": 1}},
+            {"workload": "figure1", "backend": "no-such-backend"},
+            {"workload": "figure1", "max_iterations": 0},
+        ],
+    )
+    def test_rejected_specs_are_never_memoised(self, service, spec):
+        for request_id in range(3):
+            response = service.handle_json(_request("verify", spec, request_id))
+            assert response["error"]["code"] == protocol.INVALID_PARAMS
+        assert service.pool.statistics()["recordings"] == {
+            "entries": 0,
+            "hits": 0,
+            "misses": 0,
+        }
+
+    def test_degradation_ladder_reuses_the_recording(self, monkeypatch):
+        from repro.service import pool as pool_module
+        from repro.smt.backend import _REGISTRY, DpllTBackend, register_backend
+        from repro.utils.errors import BackendUnavailableError
+
+        class LostSolver(DpllTBackend):
+            name = "test-lost-solver"
+
+            def check(self, *assumptions):
+                raise BackendUnavailableError("solver binary vanished")
+
+        register_backend("test-lost-solver", LostSolver, replace=True)
+        monkeypatch.setattr(
+            pool_module, "_DEGRADABLE_BACKENDS", ("test-lost-solver",)
+        )
+        try:
+            executor = _Executor(SessionPool())
+            response = executor.execute(
+                {"op": "verify", "workload": "figure1", "backend": "test-lost-solver"}
+            )
+        finally:
+            _REGISTRY.pop("test-lost-solver", None)
+        assert response["result"]["verdict"] == "violation"
+        assert (
+            response["result"]["solver_statistics"]["degraded_from"]
+            == "test-lost-solver"
+        )
+        assert executor.recordings.statistics() == {
+            "entries": 1,
+            "hits": 1,
+            "misses": 1,
+        }
+
+    def test_stats_reply_stays_one_frame_with_the_memo_full(self, service):
+        memo = service.pool._inline.recordings
+        for seed in range(RECORDING_MEMO_SIZE):
+            memo.record("racy_fanin", {"senders": 2}, seed)
+        response = service.handle_json(_request("stats"))
+        assert len(protocol.encode_frame(response)) < protocol.MAX_FRAME_BYTES
+        assert response["result"]["recordings"] == {
+            "entries": RECORDING_MEMO_SIZE,
+            "hits": 0,
+            "misses": RECORDING_MEMO_SIZE,
+        }
+
+    def test_param_override_does_not_leak_into_default_build(self):
+        default_threads = len(build_program("racy_fanin", None).threads)
+        overridden = build_program("racy_fanin", {"senders": 5})
+        assert len(overridden.threads) != default_threads
+        assert len(build_program("racy_fanin", None).threads) == default_threads
 
 
 class TestSharedCache:

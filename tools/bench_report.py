@@ -14,9 +14,9 @@ Two artifacts:
 
 ``BENCH_solver.json`` also records the *ratio gates*: the wall-clock
 ratios the benchmark modules print (batch sharding speedup, partial-match
-encoding overhead, reduceDB overhead), each checked against its floor
-here rather than under pytest, because a timing ratio depends on the
-host's cores and load.  A ratio past its floor fails the run.
+encoding overhead, reduceDB overhead, warm-vs-cold service throughput),
+each checked against its floor here rather than under pytest, because a
+timing ratio depends on the host's cores and load.  A ratio past its floor fails the run.
 
 Both artifacts are uploaded by CI on every run, so the perf trajectory of
 the solver hot path and the service layer is recorded PR over PR and a
@@ -393,6 +393,7 @@ def service_probes():
         "warm_speedup": round(cold_seconds / warm_seconds, 2),
         "pool_hits": stats["pool"]["hits"],
         "pool_misses": stats["pool"]["misses"],
+        "recordings": stats["recordings"]["misses"],
     }
     print(
         f"  probe service_stream_32: cold {probe['cold_queries_per_sec']} q/s, "
@@ -408,16 +409,21 @@ def ratio_gates():
     The workloads are the benchmark modules' own, imported from them:
     the 32-trace mixed batch (``verify_many_parallel(jobs=4)`` at least
     2x the serial ``verify_many``), Figure 1's partial-match vs base
-    encode time (under 2x), and the 64-query delivery-window stream with
-    reduceDB on vs off (at least 0.8x, i.e. reduction costs no time).
+    encode time (under 2x), the 64-query delivery-window stream with
+    reduceDB on vs off (at least 0.8x, i.e. reduction costs no time), and
+    the service benchmark's 64-query mixed-fingerprint stream on a
+    ``jobs=4`` daemon (the warm pass at least 2x the cold pass's
+    queries/sec).
     """
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     sys.path.insert(0, REPO_ROOT)
     from benchmarks.test_bench_clause_db import run_stream
     from benchmarks.test_bench_deadlock import MAX_OVERHEAD, encode_seconds
     from benchmarks.test_bench_parallel import mixed_batch
+    from benchmarks.test_bench_service import mixed_stream, push_stream
     from repro.encoding import DeadlockProperty, EncoderOptions
     from repro.program import run_program
+    from repro.service.server import VerificationService
     from repro.verification import verify_many, verify_many_parallel
     from repro.workloads import figure1_program
 
@@ -455,6 +461,15 @@ def ratio_gates():
     enabled = run_stream(reduce_db=True)["seconds"]
     disabled = run_stream(reduce_db=False)["seconds"]
     record("reduce_db_stream_speedup", disabled / enabled, 0.8, True)
+
+    queries = mixed_stream()
+    service = VerificationService(jobs=4)
+    try:
+        cold, _ = push_stream(service, queries)
+        warm, _ = push_stream(service, queries)
+    finally:
+        service.close()
+    record("service_warm_speedup", cold / warm, 2.0, True)
     return gates
 
 
