@@ -99,7 +99,7 @@ def test_clock_bounds_ablation(benchmark, table_printer):
     """Ablation: effect of the optional clock-range constraints on solve time."""
     import time
 
-    from repro.smt import Solver
+    from repro.smt import DpllTBackend
 
     trace = run_program(racy_fanin(5, assert_first_from_sender0=True), seed=0).trace
     rows = []
@@ -109,7 +109,7 @@ def test_clock_bounds_ablation(benchmark, table_printer):
     ]:
         problem = TraceEncoder(options).encode(trace)
         start = time.perf_counter()
-        solver = Solver()
+        solver = DpllTBackend()
         solver.add_all(problem.assertions())
         outcome = solver.check()
         elapsed = time.perf_counter() - start
@@ -123,7 +123,7 @@ def test_clock_bounds_ablation(benchmark, table_printer):
     problem = TraceEncoder(EncoderOptions(include_clock_bounds=True)).encode(trace)
 
     def solve():
-        solver = Solver()
+        solver = DpllTBackend()
         solver.add_all(problem.assertions())
         return solver.check()
 

@@ -52,14 +52,14 @@ def test_full_verification_pipeline(benchmark, table_printer):
 def test_solver_only(benchmark):
     """Isolated SMT solving cost for the Figure 1 problem."""
     from repro.encoding import TraceEncoder
-    from repro.smt import Solver
+    from repro.smt import DpllTBackend
 
     trace = run_program(figure1_program(assert_a_is_y=True), seed=0).trace
     problem = TraceEncoder().encode(trace)
     assertions = problem.assertions()
 
     def solve():
-        solver = Solver()
+        solver = DpllTBackend()
         solver.add_all(assertions)
         return solver.check()
 

@@ -15,7 +15,7 @@ from repro.baselines import ElwakilEncoder, ExplicitStateExplorer, MccChecker
 from repro.encoding.variables import match_var
 from repro.encoding.witness import Witness, decode_witness
 from repro.program import run_program
-from repro.smt import And, CheckResult, Eq, IntVal, Not, Solver
+from repro.smt import And, CheckResult, DpllTBackend, Eq, IntVal, Not
 from repro.verification import Verdict, VerificationSession
 from repro.workloads import figure1_program, figure4a_pairing, figure4b_pairing
 
@@ -23,7 +23,7 @@ from repro.workloads import figure1_program, figure4a_pairing, figure4b_pairing
 def _enumerate_encoder_pairings(encoder, trace, cap=10):
     """Blocking-clause loop for baseline encoders (no session support)."""
     problem = encoder.encode(trace, properties=[])
-    solver = Solver()
+    solver = DpllTBackend()
     solver.add_all(problem.assertions(include_property=False))
     pairings = []
     while solver.check() is CheckResult.SAT and len(pairings) < cap:
@@ -68,7 +68,7 @@ def test_elwakil_admits_only_4a(benchmark, table_printer):
 
     def solve():
         problem = ElwakilEncoder().encode(trace)
-        solver = Solver()
+        solver = DpllTBackend()
         solver.add_all(problem.assertions())
         return solver.check()
 

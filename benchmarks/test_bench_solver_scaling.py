@@ -17,14 +17,14 @@ import pytest
 
 from repro.encoding import TraceEncoder
 from repro.program import run_program
-from repro.smt import Solver
+from repro.smt import DpllTBackend
 from repro.verification import Verdict, VerificationSession
 from repro.workloads import pipeline, racy_fanin
 
 
 def _solve_stats(trace, properties=None):
     problem = TraceEncoder().encode(trace, properties=properties)
-    solver = Solver()
+    solver = DpllTBackend()
     solver.add_all(problem.assertions(include_property=properties is None))
     start = time.perf_counter()
     outcome = solver.check()

@@ -22,7 +22,7 @@ from repro.baselines.explicit import canonical_matching
 from repro.encoding.witness import decode_witness
 from repro.encoding.variables import match_var
 from repro.program import run_program
-from repro.smt import And, CheckResult, Eq, IntVal, Not, Solver
+from repro.smt import And, CheckResult, DpllTBackend, Eq, IntVal, Not
 from repro.verification import Verdict, VerificationSession
 from repro.workloads import figure1_program
 
@@ -30,7 +30,7 @@ from repro.workloads import figure1_program
 def count_pairings_for_encoder(encoder, trace) -> int:
     """Enumerate the matchings an SMT encoding admits (blocking loop)."""
     problem = encoder.encode(trace, properties=[])
-    solver = Solver()
+    solver = DpllTBackend()
     solver.add_all(problem.assertions(include_property=False))
     count = 0
     while solver.check() is CheckResult.SAT and count < 30:
@@ -57,7 +57,7 @@ def main() -> None:
     # Elwakil / Yang style (no delays).
     elwakil_pairings = count_pairings_for_encoder(ElwakilEncoder(), trace)
     problem = ElwakilEncoder().encode(trace)
-    solver = Solver()
+    solver = DpllTBackend()
     solver.add_all(problem.assertions())
     elwakil_bug = solver.check() is CheckResult.SAT
     rows.append(("Elwakil/Yang-style (no delays)", elwakil_pairings, elwakil_bug))

@@ -87,6 +87,22 @@ class EncoderOptions:
     include_assignment_definitions: bool = True
     partial_matches: bool = False
 
+    @classmethod
+    def named(
+        cls, match_pairs: Optional[str] = None, pair_fifo: bool = False
+    ) -> "EncoderOptions":
+        """The options the CLI flags and the daemon's spec keys name:
+        ``match_pairs`` is ``"endpoint"`` (or ``None``) or ``"precise"``."""
+        try:
+            strategy = MatchPairStrategy(
+                "endpoint" if match_pairs is None else match_pairs
+            )
+        except ValueError:
+            raise EncodingError(
+                f"unknown match_pairs {match_pairs!r}; pick 'endpoint' or 'precise'"
+            ) from None
+        return cls(match_strategy=strategy, enforce_pair_fifo=bool(pair_fifo))
+
 
 @dataclass
 class EncodedProblem:

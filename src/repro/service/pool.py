@@ -22,16 +22,18 @@ Two layers:
 
 ``WorkerPool`` is the only process-pool engine: the daemon and batch
 verification (:class:`~repro.verification.parallel.ParallelVerifier`) both
-run on it.  Requests come in two shapes:
+run on it.  Requests come in two shapes, and each becomes one normalised
+question (:class:`_Question`: trace, run, fingerprint, options,
+properties, mode, backend, pool key and cache key):
 
 * **Workload specs** (the daemon): ``{"workload": "racy_fanin", "params":
   {"senders": 3}, "seed": 1}`` names a program from the CLI's workload
   registry, which the worker records and fingerprints itself.  A recording
   is a pure function of (workload, params, seed), so each worker memoises
-  it (:class:`_RecordingMemo`): a repeated spec finds its warm session
-  without building, running or fingerprinting anything.  Recorded traces
-  do not round-trip through JSON (payload terms are stringified on
-  export), so the wire protocol never carries them.
+  it (:class:`_RecordingMemo`): a repeated spec knows its keys without
+  building, running or fingerprinting anything.  Recorded traces do not
+  round-trip through JSON (payload terms are stringified on export), so
+  the wire protocol never carries them.
 * **Batch questions** (in-process callers): a recorded ``trace`` with its
   encoder ``options``, ``properties``, ``mode``, ``backend``
   (:class:`~repro.smt.backend.BackendSpec`) and cache ``key``.  The worker
@@ -39,6 +41,10 @@ run on it.  Requests come in two shapes:
   back as the :class:`~repro.verification.result.VerificationResult`
   itself (encoded problem, full witness, all solver statistics) rather
   than its JSON payload.
+
+Every question is then answered on one path: recording → the worker's
+:class:`~repro.verification.cache.ResultCache` (when it has one) →
+:class:`SessionPool` → session verdict → store.
 """
 
 from __future__ import annotations
@@ -53,15 +59,19 @@ from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro import faults
-from repro.encoding.encoder import EncoderOptions, MatchPairStrategy
+from repro.encoding.encoder import EncoderOptions
+from repro.encoding.properties import Property
 from repro.program.ast import Program
-from repro.program.interpreter import ProgramRun, run_program
-from repro.program.statictrace import static_trace
+
+# ``run_program`` and ``static_trace`` are not called here (recordings go
+# through ``record_program``); perfbench/tracer.py binds both names.
+from repro.program.interpreter import ProgramRun, run_program  # noqa: F401
+from repro.program.statictrace import static_trace  # noqa: F401
 from repro.service.protocol import result_to_payload
-from repro.smt.backend import available_backends
+from repro.smt.backend import BackendSpec, available_backends
 from repro.trace.fingerprint import trace_fingerprint
 from repro.trace.trace import ExecutionTrace
 from repro.utils.errors import (
@@ -81,6 +91,7 @@ from repro.verification.result import Verdict, VerificationResult
 from repro.verification.session import (
     VERIFICATION_MODES,
     VerificationSession,
+    record_program,
     resolve_mode,
 )
 
@@ -115,7 +126,7 @@ CRASH_LEDGER_SIZE = 1024
 DEGRADATION_LOG_SIZE = 64
 
 #: External backends that degrade to the in-tree engine when their solver
-#: binary is lost mid-flight (see :meth:`_Executor._verify`).
+#: binary is lost mid-flight (see :meth:`_Executor._degraded_verdict`).
 _DEGRADABLE_BACKENDS = ("smtlib-pipe",)
 
 
@@ -189,26 +200,6 @@ _SPEC_KEYS = frozenset(
         "limit",
     )
 )
-
-#: Accepted ``match_pairs`` values of a workload spec (absent = endpoint).
-_MATCH_PAIRS = (None, "endpoint", "precise")
-
-
-def _request_options(spec: Dict[str, object]) -> EncoderOptions:
-    match_pairs = spec.get("match_pairs")
-    if match_pairs not in _MATCH_PAIRS:
-        raise ServiceError(
-            f"unknown match_pairs {match_pairs!r}; pick 'endpoint' or 'precise'"
-        )
-    return EncoderOptions(
-        match_strategy=(
-            MatchPairStrategy.PRECISE
-            if match_pairs == "precise"
-            else MatchPairStrategy.ENDPOINT
-        ),
-        enforce_pair_fifo=bool(spec.get("pair_fifo", False)),
-    )
-
 
 def _options_signature(options: EncoderOptions) -> str:
     return f"{options.match_strategy.value};fifo={options.enforce_pair_fifo}"
@@ -325,12 +316,7 @@ class _RecordingMemo:
             self._entries.move_to_end(key)
             self.hits += 1
             return entry
-        program = build_program(workload, params)
-        run = run_program(program, seed=seed)
-        if run.deadlocked:
-            trace, run = static_trace(program), None
-        else:
-            trace = run.trace
+        trace, run = record_program(build_program(workload, params), seed, "static")
         entry = _Recording(trace, run, trace_fingerprint(trace))
         self.misses += 1
         self._entries[key] = entry
@@ -357,8 +343,37 @@ class _RecordingMemo:
 # ---------------------------------------------------------------------------
 
 
+class _Question(NamedTuple):
+    """One verify request, normalised: what to solve and where to look.
+
+    Workload specs and batch questions both become one, and
+    :meth:`_Executor._verify` answers every question on the same path.
+    """
+
+    trace: ExecutionTrace
+    #: The recording run, when the executor recorded ``trace`` itself.
+    run: Optional[ProgramRun]
+    fingerprint: str
+    options: Optional[EncoderOptions]
+    properties: Optional[Sequence[Property]]
+    #: The mode the session is asked in.  A batch question's options and
+    #: properties already encode its mode, so it asks in ``"safety"``.
+    mode: str
+    #: A registry name, or a batch question's :class:`BackendSpec`, whose
+    #: construction kwargs only :meth:`BackendSpec.create` applies.
+    backend: Union[str, BackendSpec]
+    pool_key: PoolKey
+    #: ``None`` for a workload spec when the executor has no cache.
+    cache_key: Optional[CacheKey]
+
+
 class _Executor:
-    """Resolve and solve one request spec against a session pool + cache."""
+    """Answer request specs against a session pool and a result cache.
+
+    Every verify request takes one path: recording → :class:`ResultCache`
+    → :class:`SessionPool` → session verdict → store.  A cache hit touches
+    no session, so it neither encodes nor moves the pool's counters.
+    """
 
     def __init__(
         self, pool: SessionPool, cache: Optional[ResultCache] = None
@@ -369,45 +384,6 @@ class _Executor:
         #: Structured degradation events (backend fallbacks, kernel
         #: faults), surfaced through the ``stats`` op and the stats RPC.
         self.degradations: List[Dict[str, object]] = []
-
-    def _resolve_session(
-        self, spec: Dict[str, object]
-    ) -> Tuple[VerificationSession, bool, PoolKey]:
-        workload = spec.get("workload")
-        if not isinstance(workload, str):
-            raise ServiceError("request needs a workload name")
-        unsupported = sorted(set(spec) - _SPEC_KEYS)
-        if unsupported:
-            raise ServiceError(
-                f"unsupported request key(s) {', '.join(map(repr, unsupported))}; "
-                f"a workload spec takes {', '.join(sorted(_SPEC_KEYS))}"
-            )
-        backend = str(spec.get("backend") or "dpllt")
-        if backend not in available_backends():
-            raise UnknownBackendError(
-                f"unknown solver backend {backend!r}; available: "
-                + ", ".join(available_backends())
-            )
-        options = _request_options(spec)
-        recording = self.recordings.record(
-            workload, spec.get("params"), int(spec.get("seed", 0))
-        )
-        key = PoolKey(
-            fingerprint=recording.fingerprint,
-            options=_options_signature(options),
-            backend=backend,
-        )
-        entry = self.pool.get(key)
-        if entry is not None:
-            return entry.session, True, key
-        session = VerificationSession(
-            recording.trace,
-            options=options,
-            backend=backend,
-            program_run=recording.run,
-        )
-        self.pool.put(key, session)
-        return session, False, key
 
     def execute(self, request: Dict[str, object]) -> Dict[str, object]:
         """Run one worker op; always returns a JSON-safe response dict."""
@@ -436,110 +412,153 @@ class _Executor:
         except Exception as exc:  # never let a request take the worker down
             return {"ok": False, "error": repr(exc), "kind": type(exc).__name__}
 
-    def _question_session(
-        self, request: Dict[str, object]
-    ) -> Tuple[VerificationSession, bool, PoolKey]:
-        """The warm session for one batch question (see the module docs).
-
-        The key covers everything the question's cache key does, plus the
-        full backend spec, so a warm session only ever answers the exact
-        question it was built for.
-        """
-        question: CacheKey = request["key"]
-        spec = request["backend"]
-        key = PoolKey(
-            fingerprint=question.fingerprint,
-            options=question.options,
-            backend=f"{spec.name}{list(spec.kwargs)}",
-            question=f"{question.properties}\x1f{question.mode}",
-        )
-        entry = self.pool.get(key)
-        if entry is not None:
-            return entry.session, True, key
-        session = VerificationSession(
-            request["trace"],
-            options=request.get("options"),
-            properties=request.get("properties"),
-            backend=spec.create(),
-        )
-        self.pool.put(key, session)
-        return session, False, key
-
-    def _verify(self, request: Dict[str, object]) -> Dict[str, object]:
+    def _question(self, request: Dict[str, object]) -> _Question:
+        """Normalise one request (see the module docs).  A rejected spec
+        raises before anything is recorded or pooled."""
         mode = request.get("mode", "safety")
         if mode not in VERIFICATION_MODES:
             raise ServiceError(
                 f"unknown verification mode {mode!r}; pick one of {VERIFICATION_MODES}"
             )
+        key: Optional[CacheKey] = request.get("key")
+        if key is not None:
+            # A batch question: the caller recorded and keyed it.  Its pool
+            # key covers everything the cache key does, plus the full
+            # backend spec, so a warm session only ever answers the exact
+            # question it was built for.
+            spec: BackendSpec = request["backend"]
+            return _Question(
+                trace=request["trace"],
+                run=None,
+                fingerprint=key.fingerprint,
+                options=request.get("options"),
+                properties=request.get("properties"),
+                mode="safety",
+                backend=spec,
+                pool_key=PoolKey(
+                    fingerprint=key.fingerprint,
+                    options=key.options,
+                    backend=f"{spec.name}{list(spec.kwargs)}",
+                    question=f"{key.properties}\x1f{key.mode}",
+                ),
+                cache_key=key,
+            )
+        workload = request.get("workload")
+        if not isinstance(workload, str):
+            raise ServiceError("request needs a workload name")
+        unsupported = sorted(set(request) - _SPEC_KEYS)
+        if unsupported:
+            raise ServiceError(
+                f"unsupported request key(s) {', '.join(map(repr, unsupported))}; "
+                f"a workload spec takes {', '.join(sorted(_SPEC_KEYS))}"
+            )
+        backend = str(request.get("backend") or "dpllt")
+        if backend not in available_backends():
+            raise UnknownBackendError(
+                f"unknown solver backend {backend!r}; available: "
+                + ", ".join(available_backends())
+            )
+        options = EncoderOptions.named(
+            request.get("match_pairs"), request.get("pair_fifo", False)
+        )
+        recording = self.recordings.record(
+            workload, request.get("params"), int(request.get("seed", 0))
+        )
+        cache_key = None
+        if self.cache is not None:
+            # The mode joins the key exactly as in the batch lane.
+            resolved_options, properties = resolve_mode(mode, options, None)
+            cache_key = make_cache_key(
+                recording.trace,
+                properties=properties,
+                options=resolved_options,
+                backend=backend,
+                mode=mode,
+                fingerprint=recording.fingerprint,
+            )
+        return _Question(
+            trace=recording.trace,
+            run=recording.run,
+            fingerprint=recording.fingerprint,
+            options=options,
+            properties=None,
+            mode=mode,
+            backend=backend,
+            pool_key=PoolKey(
+                fingerprint=recording.fingerprint,
+                options=_options_signature(options),
+                backend=backend,
+            ),
+            cache_key=cache_key,
+        )
+
+    def _session(self, question: _Question) -> Tuple[VerificationSession, bool]:
+        """The warm session for ``question``, built and pooled on a miss;
+        returns it and whether it was a pool hit."""
+        entry = self.pool.get(question.pool_key)
+        if entry is not None:
+            return entry.session, True
+        backend = question.backend
+        session = VerificationSession(
+            question.trace,
+            options=question.options,
+            properties=question.properties,
+            backend=backend if isinstance(backend, str) else backend.create(),
+            program_run=question.run,
+        )
+        self.pool.put(question.pool_key, session)
+        return session, False
+
+    def _verify(self, request: Dict[str, object]) -> Dict[str, object]:
+        question = self._question(request)
         timeout_s = request.get("timeout_s")
         timeout_s = None if timeout_s is None else float(timeout_s)
         del self.degradations[:-DEGRADATION_LOG_SIZE]
         events_before = len(self.degradations)
         failures_before = self.cache.store_failures if self.cache is not None else 0
-        cache_key = None
-        if "trace" in request:
-            # A batch question: its options and properties already encode
-            # the mode, and the caller owns the cache and the backend choice
-            # (no ladder: an unavailable backend is the caller's error).
-            session, pool_hit, key = self._question_session(request)
-            # A copy: the session memoizes its verdict object.  The caller
-            # reattaches its own trace, so this one does not travel back.
-            result = replace(
-                session.verdict(timeout_s=timeout_s), trace=None, program_run=None
-            )
-            trace = request["trace"]
-            if session.trace is not trace:
+        pool_hit = False
+        result = None
+        if self.cache is not None:
+            # The shared cache answers across processes and daemon restarts.
+            result = self.cache.lookup(question.cache_key, question.trace)
+        if result is None:
+            session, pool_hit = self._session(question)
+            try:
+                result = session.verdict(mode=question.mode, timeout_s=timeout_s)
+            except (BackendUnavailableError, SolverError) as exc:
+                session, result = self._degraded_verdict(
+                    request, question, exc, timeout_s
+                )
+            if session.trace is not question.trace:
                 # A warm session built from another recording of the same
                 # question: re-express the witness in this trace's ids.  Its
                 # encoded problem names the other recording's events, so it
                 # stays behind, as it does for cache hits.
                 witness = result.witness
                 if witness is not None:
-                    witness = translate_witness(witness, session.trace, trace)
-                result = replace(result, witness=witness, problem=None)
-        else:
-            session, pool_hit, key = self._resolve_session(request)
+                    witness = translate_witness(witness, session.trace, question.trace)
+                result = replace(
+                    result,
+                    witness=witness,
+                    problem=None,
+                    trace=question.trace,
+                    program_run=question.run,
+                )
+            if (result.solver_statistics or {}).get("kernel_faults"):
+                self._record_degradation(
+                    layer="kernel",
+                    from_="native-kernel",
+                    to="pure-python",
+                    reason="runtime kernel fault during propagation",
+                    request=request,
+                )
             if self.cache is not None:
-                # The shared cache answers across processes and daemon
-                # restarts; the mode joins the key exactly as in the batch lane.
-                resolved_options, properties = resolve_mode(
-                    mode, session._encoder.options, None
-                )
-                cache_key = make_cache_key(
-                    session.trace,
-                    properties=properties,
-                    options=resolved_options,
-                    backend=key.backend,
-                    mode=mode,
-                    fingerprint=key.fingerprint,
-                )
-                cached = self.cache.lookup(cache_key, session.trace)
-                if cached is not None:
-                    return {
-                        "ok": True,
-                        "result": _reply_result(cached, request),
-                        "pool_hit": pool_hit,
-                        "fingerprint": key.fingerprint,
-                    }
-            try:
-                result = session.verdict(mode=mode, timeout_s=timeout_s)
-            except (BackendUnavailableError, SolverError) as exc:
-                result = self._degraded_verdict(request, key, exc, mode, timeout_s)
-        if result.solver_statistics and result.solver_statistics.get("kernel_faults"):
-            self._record_degradation(
-                layer="kernel",
-                from_="native-kernel",
-                to="pure-python",
-                reason="runtime kernel fault during propagation",
-                request=request,
-            )
-        if cache_key is not None:
-            self.cache.store(cache_key, result)
+                self.cache.store(question.cache_key, result)
         response = {
             "ok": True,
             "result": _reply_result(result, request),
             "pool_hit": pool_hit,
-            "fingerprint": key.fingerprint,
+            "fingerprint": question.fingerprint,
         }
         if len(self.degradations) > events_before:
             # Ship this request's events with the answer: the pool keeps a
@@ -566,40 +585,44 @@ class _Executor:
     def _degraded_verdict(
         self,
         request: Dict[str, object],
-        key: PoolKey,
+        question: _Question,
         exc: Exception,
-        mode: str,
         timeout_s: Optional[float],
-    ):
+    ) -> Tuple[VerificationSession, VerificationResult]:
         """Backend ladder: an external solver lost mid-flight falls back to
         the in-tree ``dpllt`` engine instead of failing the request.
 
-        Verification queries are pure, so re-solving on a different
-        backend yields the same verdict; the fallback is recorded as a
-        structured degradation event and stamped on the result's solver
-        statistics.
+        Decided by the backend name alone, in either lane.  Verification
+        queries are pure, so re-solving on a different backend yields the
+        same verdict; the fallback reuses the question's recording, is
+        recorded as a structured degradation event and is stamped on the
+        result's solver statistics.
         """
-        if key.backend not in _DEGRADABLE_BACKENDS:
+        backend = getattr(question.backend, "name", question.backend)
+        if backend not in _DEGRADABLE_BACKENDS:
             raise exc
-        self.pool.discard(key)  # the broken session must not stay warm
+        self.pool.discard(question.pool_key)  # the broken session must not stay warm
         self._record_degradation(
             layer="backend",
-            from_=key.backend,
+            from_=backend,
             to="dpllt",
             reason=str(exc),
             request=request,
         )
-        session, _, _ = self._resolve_session(dict(request, backend="dpllt"))
-        result = session.verdict(mode=mode, timeout_s=timeout_s)
-        result.solver_statistics = dict(
-            result.solver_statistics or {}, degraded_from=key.backend
+        fallback = question._replace(
+            backend="dpllt", pool_key=replace(question.pool_key, backend="dpllt")
         )
-        return result
+        session, _ = self._session(fallback)
+        result = session.verdict(mode=fallback.mode, timeout_s=timeout_s)
+        # A copy: the session memoizes its verdict object.
+        statistics = dict(result.solver_statistics or {}, degraded_from=backend)
+        return session, replace(result, solver_statistics=statistics)
 
     def _enumerate(self, request: Dict[str, object]) -> Dict[str, object]:
         limit = request.get("limit")
         limit = None if limit is None else int(limit)
-        session, pool_hit, key = self._resolve_session(request)
+        question = self._question(request)
+        session, pool_hit = self._session(question)
         matchings = session.enumerate_pairings(limit=limit)
         return {
             "ok": True,
@@ -607,7 +630,7 @@ class _Executor:
                 sorted(matching.items()) for matching in matchings
             ],
             "pool_hit": pool_hit,
-            "fingerprint": key.fingerprint,
+            "fingerprint": question.fingerprint,
         }
 
 
@@ -621,8 +644,11 @@ def _request_tag(request: Dict[str, object]) -> Optional[str]:
 
 def _reply_result(result: VerificationResult, request: Dict[str, object]) -> object:
     """A batch question's answer is the result object (the pipe pickles
-    it); a workload spec's is its JSON payload, bound for the wire."""
-    return result if "trace" in request else result_to_payload(result)
+    it, and the caller reattaches its own trace and run); a workload
+    spec's is its JSON payload, bound for the wire."""
+    if "trace" in request:
+        return replace(result, trace=None, program_run=None)
+    return result_to_payload(result)
 
 
 def _unknown_reason(response: Dict[str, object]) -> Optional[str]:

@@ -14,8 +14,9 @@ must be dependency-free, the package provides the full stack from scratch:
 * :mod:`repro.smt.dpllt` — the incremental DPLL(T) engine, with the theories
   integrated online into the SAT search,
 * :mod:`repro.smt.backend` — the :class:`SolverBackend` protocol, registry
-  and the in-tree / external-solver-pipe implementations,
-* :mod:`repro.smt.solver` — the public :class:`Solver` facade,
+  and the in-tree / external-solver-pipe implementations; callers solve
+  through a backend (``create_backend()`` builds the default
+  :class:`DpllTBackend`),
 * :mod:`repro.smt.smtlib` — SMT-LIB v2 export for cross-checking.
 """
 
@@ -60,7 +61,7 @@ from repro.smt.backend import (
     create_backend,
     register_backend,
 )
-from repro.smt.solver import CheckResult, Solver
+from repro.smt.dpllt import CheckResult
 from repro.smt.smtlib import to_smtlib
 
 __all__ = [
@@ -101,7 +102,6 @@ __all__ = [
     "load_dimacs",
     "parse_dimacs",
     "CheckResult",
-    "Solver",
     "SolverBackend",
     "DpllTBackend",
     "SmtLibPipeBackend",

@@ -2,9 +2,8 @@
 
 The verification layer never talks to a concrete solver class; it talks to a
 :class:`SolverBackend` — the minimal incremental interface (``add`` /
-``push`` / ``pop`` / ``check`` with assumptions / ``model``) that both the
-session API and the :class:`repro.smt.solver.Solver` facade are written
-against.  Two implementations ship in-tree:
+``push`` / ``pop`` / ``check`` with assumptions / ``model``) that the
+session API is written against.  Two implementations ship in-tree:
 
 * :class:`DpllTBackend` — the default.  Wraps
   :class:`~repro.smt.dpllt.IncrementalDpllTEngine`, which keeps its SAT

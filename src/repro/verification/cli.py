@@ -47,12 +47,21 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.encoding.encoder import EncoderOptions, MatchPairStrategy
+from repro.encoding.encoder import EncoderOptions
 from repro.program.ast import Program
 from repro.smt.backend import available_backends
-from repro.utils.errors import BackendUnavailableError, ServiceError, SolverError
+from repro.utils.errors import (
+    BackendUnavailableError,
+    EncodingError,
+    ServiceError,
+    SolverError,
+)
 from repro.verification.result import Verdict
-from repro.verification.session import VerificationSession, resolve_mode
+from repro.verification.session import (
+    VerificationSession,
+    record_program,
+    resolve_mode,
+)
 from repro.workloads import (
     branching_consumer,
     circular_wait,
@@ -319,10 +328,8 @@ def _solver_knob_kwargs(args: argparse.Namespace) -> Dict[str, object]:
     return kwargs
 
 
-def _run_batch(args: argparse.Namespace, program: Program, options, mode: str) -> int:
-    """Verify a ``--repeat``/``--jobs``/``--cache-dir`` batch."""
-    from repro.program.interpreter import run_program
-    from repro.program.statictrace import static_trace
+def _run_batch(args: argparse.Namespace, traces: list, options, mode: str) -> int:
+    """Verify a ``--repeat``/``--jobs``/``--cache-dir`` batch of recordings."""
     from repro.verification.parallel import verify_many_parallel
 
     for flag in ("show_trace", "show_smt", "stats"):
@@ -331,20 +338,6 @@ def _run_batch(args: argparse.Namespace, program: Program, options, mode: str) -
                 f"warning: --{flag.replace('_', '-')} is ignored in batch mode",
                 file=sys.stderr,
             )
-    traces = []
-    for offset in range(max(args.repeat, 1)):
-        run = run_program(program, seed=args.seed + offset)
-        if run.deadlocked:
-            if mode != "deadlock":
-                print(
-                    f"recording run (seed {args.seed + offset}) deadlocked; "
-                    "rerun with --check-deadlock to analyse it",
-                    file=sys.stderr,
-                )
-                return 2
-            traces.append(static_trace(program))
-        else:
-            traces.append(run.trace)
     backend = args.backend
     spec_kwargs = _solver_knob_kwargs(args)
     if spec_kwargs:
@@ -542,27 +535,31 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     program = WORKLOADS[args.workload].build(args)
 
-    options = EncoderOptions(
-        match_strategy=(
-            MatchPairStrategy.PRECISE
-            if args.match_pairs == "precise"
-            else MatchPairStrategy.ENDPOINT
-        ),
-        enforce_pair_fifo=args.pair_fifo,
-    )
+    options = EncoderOptions.named(args.match_pairs, args.pair_fifo)
+    on_deadlock = "static" if mode == "deadlock" else "raise"
+    try:
+        recordings = [
+            record_program(program, args.seed + offset, on_deadlock)
+            for offset in range(max(args.repeat, 1))
+        ]
+    except EncodingError as exc:
+        hint = "" if mode == "deadlock" else "; rerun with --check-deadlock"
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return 2
     try:
         if args.repeat > 1 or args.jobs > 1 or args.cache_dir is not None:
-            return _run_batch(args, program, options, mode)
+            traces = [trace for trace, _ in recordings]
+            return _run_batch(args, traces, options, mode)
         # Resolve the mode up front so the session is built in the right
         # configuration directly (one encoding), exactly like the batch lane.
         resolved_options, properties = resolve_mode(mode, options, None)
-        session = VerificationSession.from_program(
-            program,
-            seed=args.seed,
+        trace, run = recordings[0]
+        session = VerificationSession(
+            trace,
             options=resolved_options,
             properties=properties,
             backend=args.backend,
-            on_deadlock="static" if mode == "deadlock" else "raise",
+            program_run=run,
             **_solver_knob_kwargs(args),
         )
         result = session.verdict(timeout_s=args.timeout)

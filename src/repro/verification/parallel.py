@@ -51,8 +51,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.encoding.encoder import EncoderOptions
 from repro.encoding.properties import Property
 from repro.program.ast import Program
-from repro.program.interpreter import ProgramRun, run_program
-from repro.program.statictrace import static_trace
+from repro.program.interpreter import ProgramRun
 from repro.service.pool import WorkerPool
 from repro.smt.backend import BackendSpec
 from repro.trace.trace import ExecutionTrace
@@ -65,7 +64,7 @@ from repro.verification.cache import (
     translate_witness,
 )
 from repro.verification.result import VerificationResult
-from repro.verification.session import _recording_run, resolve_mode
+from repro.verification.session import record_program, resolve_mode
 
 __all__ = ["ParallelVerifier", "verify_many_parallel"]
 
@@ -219,20 +218,13 @@ class ParallelVerifier:
     def _normalise(
         self, items: Iterable[Union[Program, ExecutionTrace]]
     ) -> List[Tuple[ExecutionTrace, Optional[ProgramRun]]]:
+        # In deadlock mode a blocked recording falls back to the static
+        # symbolic trace, which covers branch-free programs exactly.
+        on_deadlock = "static" if self.mode == "deadlock" else "raise"
         normalised: List[Tuple[ExecutionTrace, Optional[ProgramRun]]] = []
         for item in items:
             if isinstance(item, Program):
-                if self.mode == "deadlock":
-                    run = run_program(item, seed=self.seed)
-                    if run.deadlocked:
-                        # No complete recording exists; the static symbolic
-                        # trace covers branch-free programs exactly.
-                        normalised.append((static_trace(item), None))
-                    else:
-                        normalised.append((run.trace, run))
-                    continue
-                run = _recording_run(item, self.seed, None, None)
-                normalised.append((run.trace, run))
+                normalised.append(record_program(item, self.seed, on_deadlock))
             elif isinstance(item, ExecutionTrace):
                 normalised.append((item, None))
             else:

@@ -51,7 +51,7 @@ from repro.program.interpreter import ProgramRun, run_program
 from repro.program.statictrace import static_trace
 from repro.smt.backend import SolverBackend, create_backend
 from repro.smt.dpllt import CheckResult
-from repro.smt.terms import And, Eq, IntVal, Not
+from repro.smt.terms import And, Eq, IntVal, Not, Term
 from repro.trace.trace import ExecutionTrace
 from repro.utils.errors import (
     EncodingError,
@@ -60,7 +60,13 @@ from repro.utils.errors import (
 )
 from repro.verification.result import Verdict, VerificationResult
 
-__all__ = ["VerificationSession", "verify_many", "VERIFICATION_MODES", "resolve_mode"]
+__all__ = [
+    "VerificationSession",
+    "verify_many",
+    "record_program",
+    "VERIFICATION_MODES",
+    "resolve_mode",
+]
 
 #: The questions the stack can ask of one trace.  ``safety`` is the paper's
 #: assertion check on the base encoding; ``deadlock`` and ``orphan`` are the
@@ -100,20 +106,36 @@ def resolve_mode(
     return options, [OrphanMessageProperty()]
 
 
-def _recording_run(
+def record_program(
     program: Program,
-    seed: int,
-    policy: Optional[DeliveryPolicy],
-    strategy: Optional[SchedulingStrategy],
-) -> ProgramRun:
-    """Run ``program`` once to obtain a complete recording trace."""
-    run = run_program(program, seed=seed, policy=policy, strategy=strategy)
-    if run.deadlocked:
+    seed: int = 0,
+    on_deadlock: str = "raise",
+    policy: Optional[DeliveryPolicy] = None,
+    strategy: Optional[SchedulingStrategy] = None,
+) -> Tuple[ExecutionTrace, Optional[ProgramRun]]:
+    """Record ``program`` once; returns the trace and the run it came from.
+
+    A run that blocks leaves no complete trace.  ``on_deadlock="raise"``
+    then fails with :class:`EncodingError`: a truncated recording would
+    silently under-approximate a safety analysis.  ``on_deadlock="static"``
+    falls back to the statically unrolled symbolic trace
+    (:func:`repro.program.statictrace.static_trace`, branch-free programs
+    only) and returns no run; deadlock questions use it, because programs
+    that deadlock on *every* schedule have no complete recording to offer.
+    """
+    if on_deadlock not in ("raise", "static"):
         raise EncodingError(
-            f"the recording run of {program.name!r} deadlocked; "
+            f"on_deadlock must be 'raise' or 'static', got {on_deadlock!r}"
+        )
+    run = run_program(program, seed=seed, policy=policy, strategy=strategy)
+    if not run.deadlocked:
+        return run.trace, run
+    if on_deadlock == "raise":
+        raise EncodingError(
+            f"the recording run of {program.name!r} (seed {seed}) deadlocked; "
             "pick a different seed/strategy to obtain a complete trace"
         )
-    return run
+    return static_trace(program), None
 
 
 class VerificationSession:
@@ -200,28 +222,13 @@ class VerificationSession:
     ) -> "VerificationSession":
         """Record ``program`` once (any scheduling works) and open a session.
 
-        ``on_deadlock`` controls what happens when the recording run blocks:
-
-        * ``"raise"`` (default) — fail with :class:`EncodingError`, the
-          historical behaviour; a blocked recording is truncated and would
-          silently under-approximate a safety analysis.
-        * ``"static"`` — fall back to the statically unrolled symbolic
-          trace (:func:`repro.program.statictrace.static_trace`); only
-          possible for branch-free programs.  This is what deadlock-mode
-          verification uses: programs that deadlock on *every* schedule
-          have no complete recording to offer.
+        ``on_deadlock`` says what a blocked recording run does (see
+        :func:`record_program`): ``"raise"`` (default) fails with
+        :class:`EncodingError`, ``"static"`` falls back to the static
+        symbolic trace, as deadlock-mode verification does.
         """
-        if on_deadlock not in ("raise", "static"):
-            raise EncodingError(
-                f"on_deadlock must be 'raise' or 'static', got {on_deadlock!r}"
-            )
-        if on_deadlock == "static":
-            run = run_program(program, seed=seed, policy=policy, strategy=strategy)
-            if run.deadlocked:
-                return cls(static_trace(program), **kwargs)
-            return cls(run.trace, program_run=run, **kwargs)
-        run = _recording_run(program, seed, policy, strategy)
-        return cls(run.trace, program_run=run, **kwargs)
+        trace, run = record_program(program, seed, on_deadlock, policy, strategy)
+        return cls(trace, program_run=run, **kwargs)
 
     # ------------------------------------------------------------------ accessors
 
@@ -306,11 +313,22 @@ class VerificationSession:
             )
             return self._verdict
 
+        result = self._decide(negated, timeout_s)
+        if result.unknown_reason != "timeout":
+            self._verdict = result
+        return result
+
+    def _decide(
+        self, negated: Optional[Term], timeout_s: Optional[float]
+    ) -> VerificationResult:
+        """Check ``negated`` as an assumption, decode a witness from a SAT
+        model, and wrap the answer.  ``None`` means nothing can be violated:
+        the answer is SAFE without a check."""
         backend = self.backend
         deadline = self._arm_deadline(backend, timeout_s)
         start = time.perf_counter()
         try:
-            outcome = backend.check(negated)
+            outcome = CheckResult.UNSAT if negated is None else backend.check(negated)
         finally:
             if deadline is not None:
                 self._disarm_deadline(backend)
@@ -324,9 +342,7 @@ class VerificationSession:
             verdict = Verdict.SAFE
         else:
             verdict = Verdict.UNKNOWN
-
-        unknown_reason = self._unknown_reason(backend, verdict, deadline)
-        result = VerificationResult(
+        return VerificationResult(
             verdict=verdict,
             problem=self._problem,
             witness=witness,
@@ -336,11 +352,8 @@ class VerificationSession:
             trace=self.trace,
             program_run=self.program_run,
             backend=self.backend_name,
-            unknown_reason=unknown_reason,
+            unknown_reason=self._unknown_reason(backend, verdict, deadline),
         )
-        if unknown_reason != "timeout":
-            self._verdict = result
-        return result
 
     @staticmethod
     def _unknown_reason(
@@ -461,40 +474,9 @@ class VerificationSession:
             if self._problem.partial_matches
             else prop.term(self.trace)
         )
-        backend = self.backend
-        deadline = self._arm_deadline(backend, timeout_s)
-        start = time.perf_counter()
-        try:
-            if term.is_true:
-                outcome = CheckResult.UNSAT  # no sends: nothing can be orphaned
-            else:
-                outcome = backend.check(Not(term))
-        finally:
-            if deadline is not None:
-                self._disarm_deadline(backend)
-        solve_seconds = time.perf_counter() - start
-        witness: Optional[Witness] = None
-        if outcome is CheckResult.SAT:
-            verdict = Verdict.VIOLATION
-            witness = decode_witness(self._problem, backend.model())
-        elif outcome is CheckResult.UNSAT:
-            verdict = Verdict.SAFE
-        else:
-            verdict = Verdict.UNKNOWN
-        unknown_reason = self._unknown_reason(backend, verdict, deadline)
-        result = VerificationResult(
-            verdict=verdict,
-            problem=self._problem,
-            witness=witness,
-            solver_statistics=backend.statistics(),
-            encode_seconds=self.encode_seconds,
-            solve_seconds=solve_seconds,
-            trace=self.trace,
-            program_run=self.program_run,
-            backend=self.backend_name,
-            unknown_reason=unknown_reason,
-        )
-        if unknown_reason != "timeout":
+        # No sends: nothing can be orphaned.
+        result = self._decide(None if term.is_true else Not(term), timeout_s)
+        if result.unknown_reason != "timeout":
             self._orphan_verdict = result
         return result
 
@@ -694,36 +676,23 @@ def verify_many(
     results: List[VerificationResult] = []
     for item in items:
         if isinstance(item, Program):
-            if mode == "deadlock":
-                run = run_program(item, seed=seed)
-                if run.deadlocked:
-                    trace, run = static_trace(item), None
-                else:
-                    trace = run.trace
-            else:
-                run = _recording_run(item, seed, None, None)
-                trace = run.trace
-            session = VerificationSession(
-                trace,
-                properties=properties,
-                backend=backend,
-                max_solver_iterations=max_solver_iterations,
-                program_run=run,
-                encoder=encoder,
-                **solver_knobs,
+            trace, run = record_program(
+                item, seed, "static" if mode == "deadlock" else "raise"
             )
         elif isinstance(item, ExecutionTrace):
-            session = VerificationSession(
-                item,
-                properties=properties,
-                backend=backend,
-                max_solver_iterations=max_solver_iterations,
-                encoder=encoder,
-                **solver_knobs,
-            )
+            trace, run = item, None
         else:
             raise EncodingError(
                 f"verify_many accepts Programs or ExecutionTraces, got {item!r}"
             )
+        session = VerificationSession(
+            trace,
+            properties=properties,
+            backend=backend,
+            max_solver_iterations=max_solver_iterations,
+            program_run=run,
+            encoder=encoder,
+            **solver_knobs,
+        )
         results.append(session.verdict(timeout_s=timeout_s))
     return results

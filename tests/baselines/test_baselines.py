@@ -19,7 +19,7 @@ from repro.baselines import (
 )
 from repro.baselines.explicit import canonical_matching
 from repro.program import run_program
-from repro.smt import CheckResult, Solver
+from repro.smt import CheckResult, DpllTBackend
 from repro.verification import Verdict, VerificationSession
 from repro.workloads import (
     branching_consumer,
@@ -130,7 +130,7 @@ class TestSleepSetExplorer:
 class TestElwakilBaseline:
     def test_misses_delay_dependent_bug(self, figure1_trace):
         problem = ElwakilEncoder().encode(figure1_trace)
-        solver = Solver()
+        solver = DpllTBackend()
         solver.add_all(problem.assertions())
         assert solver.check() is CheckResult.UNSAT
 
@@ -147,7 +147,7 @@ class TestElwakilBaseline:
         from repro.encoding.variables import match_var
         from repro.smt import And, Eq, IntVal, Not
 
-        solver = Solver()
+        solver = DpllTBackend()
         solver.add_all(problem.assertions(include_property=False))
         pairings = []
         while solver.check() is CheckResult.SAT:
@@ -170,7 +170,7 @@ class TestElwakilBaseline:
     def test_elwakil_still_finds_delay_independent_bugs(self):
         trace = run_program(racy_fanin(2, assert_first_from_sender0=True), seed=0).trace
         problem = ElwakilEncoder().encode(trace)
-        solver = Solver()
+        solver = DpllTBackend()
         solver.add_all(problem.assertions())
         assert solver.check() is CheckResult.SAT
 

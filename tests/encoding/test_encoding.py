@@ -26,7 +26,7 @@ from repro.encoding import (
 from repro.encoding.witness import decode_witness
 from repro.matching import endpoint_match_pairs
 from repro.program import run_program
-from repro.smt import CheckResult, Eq, IntVal, Solver
+from repro.smt import CheckResult, DpllTBackend, Eq, IntVal
 from repro.smt.models import Model
 from repro.utils.errors import EncodingError
 from repro.workloads import (
@@ -57,7 +57,7 @@ class TestOrderConstraints:
         assert all(c.kind == "lt" for c in constraints)
 
     def test_program_order_unsatisfiable_when_reversed(self, figure1_trace):
-        solver = Solver()
+        solver = DpllTBackend()
         solver.add_all(program_order_constraints(figure1_trace))
         # Add a reversal of the first pair: must become UNSAT.
         before, after = figure1_trace.program_order_pairs()[0]
@@ -181,7 +181,7 @@ class TestEncoder:
         assert len(names["matches"]) == 3
 
     def test_base_problem_is_satisfiable(self, figure1_problem):
-        solver = Solver()
+        solver = DpllTBackend()
         solver.add_all(figure1_problem.assertions(include_property=False))
         assert solver.check() is CheckResult.SAT
 
@@ -227,7 +227,7 @@ class TestModelsRespectEncoding:
         """Each model of the base problem picks a candidate send, transfers its
         value, and orders the send before the receive."""
         problem = TraceEncoder().encode(figure1_trace, properties=[])
-        solver = Solver()
+        solver = DpllTBackend()
         solver.add_all(problem.assertions(include_property=False))
         assert solver.check() is CheckResult.SAT
         model = solver.model()
@@ -252,7 +252,7 @@ class TestModelsRespectEncoding:
         run = run_program(branching_consumer(), seed=0).trace
         (branch,) = run.branches()
         problem = TraceEncoder().encode(run, properties=[])
-        solver = Solver()
+        solver = DpllTBackend()
         solver.add_all(problem.assertions(include_property=False))
         # Asserting the opposite outcome must be UNSAT.
         from repro.smt import Not

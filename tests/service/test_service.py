@@ -25,8 +25,11 @@ from repro.service.pool import (
 from repro.service.server import VerificationService, run_stdio
 from repro.trace.fingerprint import trace_fingerprint
 from repro.utils.errors import ServiceError
+from repro.verification.cache import ResultCache
 from repro.verification.cli import WORKLOADS
+from repro.verification.parallel import ParallelVerifier
 from repro.verification.result import Verdict
+from repro.verification.session import VerificationSession
 
 
 def _request(method, params=None, request_id=1):
@@ -268,21 +271,51 @@ class TestSessionPool:
         assert pool.invalidate() == 1  # drop the rest
 
 
+def _memo_recording(workload, seed):
+    recording = _RecordingMemo().record(workload, None, seed)
+    return recording.trace, recording.run
+
+
+def _session_recording(workload, seed):
+    session = VerificationSession.from_program(
+        build_program(workload, None), seed=seed, on_deadlock="static"
+    )
+    return session.trace, session.program_run
+
+
+def _batch_recording(workload, seed):
+    verifier = ParallelVerifier(jobs=1, mode="deadlock", seed=seed)
+    return verifier._normalise([build_program(workload, None)])[0]
+
+
+#: The recording lanes that must agree with a worker's memo.
+_RECORDERS = {
+    "memo": _memo_recording,
+    "from_program": _session_recording,
+    "parallel": _batch_recording,
+}
+
+
 class TestRecordingMemo:
     """A workload spec's recording is memoised per worker: repeats skip
     build, run and fingerprint, and answer exactly as a fresh recording."""
 
+    @pytest.mark.parametrize("recorder", sorted(_RECORDERS))
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_every_workload_records_one_fingerprint_per_seed(self, workload):
+    def test_every_workload_records_one_fingerprint_per_seed(
+        self, workload, recorder
+    ):
+        """The memo, ``from_program(on_deadlock="static")`` and a
+        deadlock-mode ``ParallelVerifier`` share one recording helper."""
         shared = _RecordingMemo()
         for seed in range(4):
             first = shared.record(workload, None, seed)
-            second = _RecordingMemo().record(workload, None, seed)
-            assert first.fingerprint == second.fingerprint
-            assert first.fingerprint == trace_fingerprint(second.trace)
+            trace, run = _RECORDERS[recorder](workload, seed)
+            assert first.fingerprint == trace_fingerprint(trace)
+            assert (first.run is None) == (run is None)
             assert shared.record(workload, None, seed) is first
             if workload == "circular_wait":  # the static-trace fallback
-                assert first.run is None and second.run is None
+                assert first.run is None and run is None
         assert shared.statistics() == {"entries": 4, "hits": 4, "misses": 4}
 
     @pytest.mark.parametrize(
@@ -388,11 +421,44 @@ class TestRecordingMemo:
             response["result"]["solver_statistics"]["degraded_from"]
             == "test-lost-solver"
         )
+        # The fallback re-solves the normalised question: one recording,
+        # and no second trip through the memo.
         assert executor.recordings.statistics() == {
             "entries": 1,
-            "hits": 1,
+            "hits": 0,
             "misses": 1,
         }
+
+    def test_ladder_fallback_does_not_stamp_the_warm_dpllt_verdict(
+        self, monkeypatch
+    ):
+        """The fallback's ``degraded_from`` stamp goes on a copy: the dpllt
+        session it leaves warm answers a later dpllt request undegraded."""
+        from repro.service import pool as pool_module
+        from repro.smt.backend import _REGISTRY, DpllTBackend, register_backend
+        from repro.utils.errors import SolverError
+
+        class CrashingSolver(DpllTBackend):
+            name = "test-crashing-solver"
+
+            def check(self, *assumptions):
+                raise SolverError("solver process failed twice")
+
+        register_backend("test-crashing-solver", CrashingSolver, replace=True)
+        monkeypatch.setattr(
+            pool_module, "_DEGRADABLE_BACKENDS", ("test-crashing-solver",)
+        )
+        executor = _Executor(SessionPool())
+        request = {"op": "verify", "workload": "figure1"}
+        try:
+            degraded = executor.execute(dict(request, backend="test-crashing-solver"))
+        finally:
+            _REGISTRY.pop("test-crashing-solver", None)
+        assert "degraded_from" in degraded["result"]["solver_statistics"]
+        plain = executor.execute(request)
+        assert plain["pool_hit"]
+        assert plain["result"]["verdict"] == degraded["result"]["verdict"]
+        assert "degraded_from" not in plain["result"]["solver_statistics"]
 
     def test_stats_reply_stays_one_frame_with_the_memo_full(self, service):
         memo = service.pool._inline.recordings
@@ -428,6 +494,41 @@ class TestSharedCache:
             assert response["result"]["result"]["from_cache"] is True
         finally:
             second.close()
+
+
+    def test_cache_answers_before_the_session_pool(self, monkeypatch):
+        """A cached answer whose warm session was dropped is served from
+        the cache alone: nothing is encoded and the pool is untouched (no
+        miss, no rebuilt session, no eviction of another warm session)."""
+        from repro.encoding.encoder import TraceEncoder
+
+        executor = _Executor(SessionPool(capacity=1), cache=ResultCache())
+        request = {"op": "verify", "workload": "figure1"}
+        solved = executor.execute(dict(request))
+        assert solved["result"]["from_cache"] is False
+        executor.pool.invalidate()
+        counters = {
+            name: executor.pool.statistics()[name]
+            for name in ("hits", "misses", "evictions")
+        }
+        encodes = []
+        encode = TraceEncoder.encode
+        monkeypatch.setattr(
+            TraceEncoder,
+            "encode",
+            lambda self, *args, **kwargs: encodes.append(1)
+            or encode(self, *args, **kwargs),
+        )
+        cached = executor.execute(dict(request))
+        assert cached["result"]["from_cache"] is True
+        assert cached["pool_hit"] is False
+        assert cached["result"]["verdict"] == solved["result"]["verdict"]
+        assert cached["result"]["witness"] == solved["result"]["witness"]
+        assert encodes == []
+        assert len(executor.pool) == 0
+        assert {
+            name: executor.pool.statistics()[name] for name in counters
+        } == counters
 
 
 class _DaemonHarness:

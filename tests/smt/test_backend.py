@@ -17,7 +17,6 @@ from repro.smt import (
     Lt,
     Not,
     Or,
-    Solver,
     available_backends,
     create_backend,
     register_backend,
@@ -258,24 +257,15 @@ class TestIncrementalSemantics:
         assert second <= first
 
 
-class TestSolverFacadeOverBackends:
-    def test_solver_uses_incremental_backend_by_default(self):
-        s = Solver()
-        assert isinstance(s.backend, DpllTBackend)
+class TestDefaultBackend:
+    def test_default_backend_keeps_one_engine_across_checks(self):
+        s = create_backend()
+        assert isinstance(s, DpllTBackend)
         s.add(Ge(x, IntVal(0)))
         assert s.check() is CheckResult.SAT
-        assert s.backend.engine.total_checks == 1
+        assert s.engine.total_checks == 1
         assert s.check() is CheckResult.SAT
-        assert s.backend.engine.total_checks == 2  # same engine, not rebuilt
-
-    def test_solver_accepts_backend_instance(self):
-        backend = DpllTBackend(max_iterations=10_000)
-        s = Solver(backend=backend)
-        assert s.backend is backend
-
-    def test_solver_rejects_unknown_backend_name(self):
-        with pytest.raises(UnknownBackendError):
-            Solver(backend="not-a-backend")
+        assert s.engine.total_checks == 2  # same engine, not rebuilt
 
 
 class TestRegistry:

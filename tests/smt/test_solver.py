@@ -1,4 +1,4 @@
-"""End-to-end tests of the public SMT Solver facade (DPLL(T))."""
+"""End-to-end tests of the default SMT backend (incremental DPLL(T))."""
 
 import itertools
 
@@ -12,6 +12,7 @@ from repro.smt import (
     BoolVar,
     CheckResult,
     Distinct,
+    DpllTBackend,
     Eq,
     Function,
     Ge,
@@ -28,7 +29,6 @@ from repro.smt import (
     Ne,
     Not,
     Or,
-    Solver,
     Sub,
     uninterpreted_sort,
     Var,
@@ -39,10 +39,10 @@ from repro.utils.errors import SolverError
 
 class TestBasicChecks:
     def test_empty_solver_is_sat(self):
-        assert Solver().check() is CheckResult.SAT
+        assert DpllTBackend().check() is CheckResult.SAT
 
     def test_simple_arith_sat_with_model(self):
-        s = Solver()
+        s = DpllTBackend()
         x, y = IntVar("x"), IntVar("y")
         s.add(Lt(x, y), Le(y, IntVal(2)), Ge(x, IntVal(0)))
         assert s.check() is CheckResult.SAT
@@ -50,17 +50,17 @@ class TestBasicChecks:
         assert 0 <= m.value_of("x") < m.value_of("y") <= 2
 
     def test_simple_arith_unsat(self):
-        s = Solver()
+        s = DpllTBackend()
         x = IntVar("x")
         s.add(Lt(x, IntVal(0)), Gt(x, IntVal(0)))
         assert s.check() is CheckResult.UNSAT
 
     def test_model_before_check_raises(self):
         with pytest.raises(SolverError):
-            Solver().model()
+            DpllTBackend().model()
 
     def test_model_after_unsat_raises(self):
-        s = Solver()
+        s = DpllTBackend()
         x = IntVar("x")
         s.add(Lt(x, x))
         s.check()
@@ -68,14 +68,14 @@ class TestBasicChecks:
             s.model()
 
     def test_add_requires_bool(self):
-        s = Solver()
+        s = DpllTBackend()
         with pytest.raises(SolverError):
             s.add(IntVar("x"))
         with pytest.raises(SolverError):
             s.add("not a term")
 
     def test_model_satisfies_assertions(self):
-        s = Solver()
+        s = DpllTBackend()
         x, y, z = IntVar("x"), IntVar("y"), IntVar("z")
         a = BoolVar("a")
         assertions = [
@@ -94,20 +94,20 @@ class TestBasicChecks:
 
 class TestBooleanAndMixed:
     def test_pure_boolean(self):
-        s = Solver()
+        s = DpllTBackend()
         a, b, c = BoolVar("a"), BoolVar("b"), BoolVar("c")
         s.add(Or(a, b), Or(Not(a), c), Or(Not(b), c), Not(c))
         assert s.check() is CheckResult.UNSAT
 
     def test_boolean_drives_arithmetic(self):
-        s = Solver()
+        s = DpllTBackend()
         a = BoolVar("a")
         x = IntVar("x")
         s.add(Implies(a, Le(x, IntVal(0))), Implies(Not(a), Le(x, IntVal(1))), Ge(x, IntVal(5)))
         assert s.check() is CheckResult.UNSAT
 
     def test_ite_integer(self):
-        s = Solver()
+        s = DpllTBackend()
         x, y = IntVar("x"), IntVar("y")
         cond = Lt(x, IntVal(0))
         s.add(Eq(y, Ite(cond, IntVal(-1), IntVal(1))), Ge(x, IntVal(3)))
@@ -115,7 +115,7 @@ class TestBooleanAndMixed:
         assert s.model().value_of("y") == 1
 
     def test_distinct_pigeonhole(self):
-        s = Solver()
+        s = DpllTBackend()
         xs = [IntVar(f"x{i}") for i in range(5)]
         s.add(Distinct(xs))
         for x in xs:
@@ -125,7 +125,7 @@ class TestBooleanAndMixed:
         assert values == [0, 1, 2, 3, 4]
 
     def test_distinct_pigeonhole_unsat(self):
-        s = Solver()
+        s = DpllTBackend()
         xs = [IntVar(f"x{i}") for i in range(4)]
         s.add(Distinct(xs))
         for x in xs:
@@ -133,7 +133,7 @@ class TestBooleanAndMixed:
         assert s.check() is CheckResult.UNSAT
 
     def test_general_lia(self):
-        s = Solver()
+        s = DpllTBackend()
         x, y = IntVar("x"), IntVar("y")
         s.add(Eq(Add(Mul(3, x), Mul(5, y)), IntVal(31)), Ge(x, IntVal(0)), Ge(y, IntVal(0)))
         assert s.check() is CheckResult.SAT
@@ -141,7 +141,7 @@ class TestBooleanAndMixed:
         assert 3 * m.value_of("x") + 5 * m.value_of("y") == 31
 
     def test_lia_parity_unsat(self):
-        s = Solver()
+        s = DpllTBackend()
         x = IntVar("x")
         # 2x = 7 has no integer solution.
         s.add(Eq(Mul(2, x), IntVal(7)))
@@ -152,7 +152,7 @@ class TestEuf:
     def test_euf_transitivity(self):
         u = uninterpreted_sort("U")
         x, y, z = Var("x", u), Var("y", u), Var("z", u)
-        s = Solver()
+        s = DpllTBackend()
         s.add(Eq(x, y), Eq(y, z), Ne(x, z))
         assert s.check() is CheckResult.UNSAT
 
@@ -160,14 +160,14 @@ class TestEuf:
         u = uninterpreted_sort("U")
         f = Function("f", (u,), u)
         x, y = Var("x", u), Var("y", u)
-        s = Solver()
+        s = DpllTBackend()
         s.add(Eq(x, y), Ne(App(f, x), App(f, y)))
         assert s.check() is CheckResult.UNSAT
 
     def test_euf_sat(self):
         u = uninterpreted_sort("U")
         x, y = Var("x", u), Var("y", u)
-        s = Solver()
+        s = DpllTBackend()
         s.add(Ne(x, y))
         assert s.check() is CheckResult.SAT
         m = s.model()
@@ -176,7 +176,7 @@ class TestEuf:
 
 class TestPushPopAndAssumptions:
     def test_push_pop(self):
-        s = Solver()
+        s = DpllTBackend()
         x = IntVar("x")
         s.add(Ge(x, IntVal(0)))
         s.push()
@@ -187,30 +187,23 @@ class TestPushPopAndAssumptions:
 
     def test_pop_without_push(self):
         with pytest.raises(SolverError):
-            Solver().pop()
+            DpllTBackend().pop()
 
     def test_assumptions_do_not_persist(self):
-        s = Solver()
+        s = DpllTBackend()
         x = IntVar("x")
         s.add(Ge(x, IntVal(0)))
         assert s.check(Lt(x, IntVal(0))) is CheckResult.UNSAT
         assert s.check() is CheckResult.SAT
-        assert len(s.assertions) == 1
-
-    def test_is_valid(self):
-        s = Solver()
-        x, y = IntVar("x"), IntVar("y")
-        assert s.is_valid(Implies(And(Le(x, y), Le(y, x)), Eq(x, y)))
-        assert not s.is_valid(Le(x, y))
 
     def test_statistics_available(self):
-        s = Solver()
+        s = DpllTBackend()
         x = IntVar("x")
         s.add(Lt(x, IntVal(3)))
         s.check()
         stats = s.statistics()
         assert stats["atoms"] >= 1
-        assert Solver().statistics() == {}
+        assert DpllTBackend().statistics() == {}
 
 
 class TestSmtlibExport:
@@ -222,10 +215,8 @@ class TestSmtlibExport:
         assert guess_logic([Eq(Var("a", u), Var("b", u))]) == "QF_UF"
 
     def test_script_structure(self):
-        s = Solver()
         x, y = IntVar("x"), IntVar("y")
-        s.add(Lt(x, y))
-        script = s.to_smtlib(comments=["figure 1 trace"])
+        script = to_smtlib([Lt(x, y)], comments=["figure 1 trace"])
         assert script.startswith("; figure 1 trace")
         assert "(set-logic QF_IDL)" in script
         assert "(declare-fun x () Int)" in script
@@ -291,7 +282,7 @@ class TestSolverProperty:
     def test_solver_agrees_with_finite_enumeration_when_sat(self, formula):
         """If brute force over [-3,3]^3 finds a model, the solver must say SAT,
         and the solver's own model must satisfy the formula."""
-        s = Solver()
+        s = DpllTBackend()
         s.add(formula)
         result = s.check()
         brute = _finite_domain_sat(formula)
@@ -303,7 +294,7 @@ class TestSolverProperty:
     @settings(max_examples=40, deadline=None)
     @given(small_formula(), small_formula())
     def test_unsat_conjunction_is_order_independent(self, f1, f2):
-        s1, s2 = Solver(), Solver()
+        s1, s2 = DpllTBackend(), DpllTBackend()
         s1.add(f1, f2)
         s2.add(f2, f1)
         assert s1.check() == s2.check()

@@ -86,6 +86,14 @@ class TestMain:
         code = main(["--workload", "figure1", "--property", "a-is-y", "--pair-fifo"])
         assert code == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--repeat", "2"]])
+    def test_deadlocked_recording_is_a_usage_error(self, extra, capsys):
+        """Both lanes record through one helper: a blocked recording outside
+        deadlock mode exits 2 with a hint, and deadlock mode analyses it."""
+        assert main(["--workload", "circular_wait"] + extra) == 2
+        assert "--check-deadlock" in capsys.readouterr().err
+        assert main(["--workload", "circular_wait", "--check-deadlock"] + extra) == 1
+
 
 class TestBatchMode:
     def test_repeat_with_jobs_dedups_and_reports(self, capsys):

@@ -403,13 +403,18 @@ def service_probes():
     return {"service_stream_32": probe}
 
 
+#: Rounds of ``REPEATS`` encodes timed per side of the partial-match gate.
+ENCODE_ROUNDS = 5
+
+
 def ratio_gates():
     """Each benchmark module's printed wall-clock ratio against its floor.
 
     The workloads are the benchmark modules' own, imported from them:
     the 32-trace mixed batch (``verify_many_parallel(jobs=4)`` at least
     2x the serial ``verify_many``), Figure 1's partial-match vs base
-    encode time (under 2x), the 64-query delivery-window stream with
+    encode time (under 2x, best of ``ENCODE_ROUNDS`` interleaved rounds
+    per side), the 64-query delivery-window stream with
     reduceDB on vs off (at least 0.8x, i.e. reduction costs no time), and
     the service benchmark's 64-query mixed-fingerprint stream on a
     ``jobs=4`` daemon (the warm pass at least 2x the cold pass's
@@ -451,11 +456,18 @@ def ratio_gates():
         "parallel_batch_speedup", serial / (time.perf_counter() - start), 2.0, True
     )
 
+    # Interleaved rounds, best of each: a noisy stretch of the host then
+    # slows both encodes alike instead of landing on one side of the ratio.
     trace = run_program(figure1_program(assert_a_is_y=True), seed=0).trace
-    base = encode_seconds(trace, EncoderOptions(), None)
-    partial = encode_seconds(
-        trace, EncoderOptions(partial_matches=True), [DeadlockProperty()]
-    )
+    base = partial = float("inf")
+    for _ in range(ENCODE_ROUNDS):
+        base = min(base, encode_seconds(trace, EncoderOptions(), None))
+        partial = min(
+            partial,
+            encode_seconds(
+                trace, EncoderOptions(partial_matches=True), [DeadlockProperty()]
+            ),
+        )
     record("partial_match_encoding_overhead", partial / base, MAX_OVERHEAD, False)
 
     enabled = run_stream(reduce_db=True)["seconds"]
